@@ -16,7 +16,14 @@ Node encoding in the KV store (see :mod:`repro.blobseer.metadata`):
   written, or ``None`` if never written;
 - leaf at ``(blob, v, i, i+1)`` → ``("leaf", ChunkDescriptor)``.
 
-All functions are generators so that every node access can be a real
+An update is planned before anything is stored, as the BlobSeer client
+does: it walks the write's border paths level by level, fetching the
+previous version's partially covered nodes (at most two per level) with
+one ``get_many`` per level, builds every new node in memory, then stores
+them all with one ``put_many`` — one request per metadata provider.  A
+query walks the tree depth first, one ``get`` per node.
+
+All functions are generators so that every KV access can be a real
 (simulated) network operation; run them with ``yield from`` inside a
 process, or drain them synchronously against :class:`LocalKV` in tests.
 """
@@ -63,7 +70,7 @@ def tree_update(
     written by this version.  *prev_version* is the version whose tree
     this one inherits from (``None`` for the first write).
 
-    Returns the number of KV puts performed.
+    Returns the number of tree nodes stored.
     """
     _check_capacity(capacity)
     if not descriptors:
@@ -74,57 +81,68 @@ def tree_update(
         raise ValueError(f"chunk range [{lo_w},{hi_w}) outside capacity {capacity}")
     if len(descriptors) != hi_w - lo_w:
         raise ValueError("descriptors must cover a contiguous chunk range")
-    writes = yield from _update_node(
-        kv, blob_id, version, prev_version, 0, capacity, descriptors, lo_w, hi_w
+    nodes = yield from _plan_update(
+        kv, blob_id, version, prev_version, descriptors, lo_w, hi_w, capacity
     )
-    return writes
+    # Post-order (children before parents: sort by right end, then size),
+    # the order in which a depth-first writer would store the nodes.
+    nodes.sort(key=lambda node: (node[1], node[1] - node[0]))
+    yield from kv.put_many({
+        node_key(blob_id, version, lo, hi): value for lo, hi, value in nodes
+    })
+    return len(nodes)
 
 
-def _update_node(
+def _plan_update(
     kv,
     blob_id: int,
     version: int,
-    prev_stamp: Optional[int],
-    lo: int,
-    hi: int,
+    prev_version: Optional[int],
     descriptors: Dict[int, ChunkDescriptor],
     lo_w: int,
     hi_w: int,
+    capacity: int,
 ):
-    """Recursively write the subtree [lo, hi); returns KV put count."""
-    if hi - lo == 1:
-        descriptor = descriptors[lo]
-        yield from kv.put(node_key(blob_id, version, lo, hi), ("leaf", descriptor))
-        return 1
+    """Generator: build every node of the update in memory, top down.
 
-    mid = (lo + hi) // 2
-    # Child stamps from the previous version of this node (if any).
-    # When the write covers this whole subtree both children are about to
-    # be rewritten, so the old node need not be fetched.
-    left_stamp: Optional[int] = None
-    right_stamp: Optional[int] = None
-    fully_covered = lo_w <= lo and hi <= hi_w
-    if prev_stamp is not None and not fully_covered:
-        prev = yield from kv.get(node_key(blob_id, prev_stamp, lo, hi))
-        if prev is not None:
-            _tag, left_stamp, right_stamp = prev
-
-    writes = 0
-    if lo_w < mid:  # write range intersects the left child
-        writes += yield from _update_node(
-            kv, blob_id, version, left_stamp, lo, mid,
-            descriptors, lo_w, min(hi_w, mid),
+    Each level's nodes intersecting ``[lo_w, hi_w)`` are rewritten.  Of
+    those, only the partially covered ones (at most two per level, on the
+    write's borders) inherit a child from the previous version, so only
+    their previous nodes are fetched — one ``get_many`` per level.
+    Returns ``[(lo, hi, value)]``.
+    """
+    nodes: List[Tuple[int, int, tuple]] = []
+    # Border nodes of the current level: lo -> stamp of their previous
+    # version (None: never written, nothing to fetch).
+    borders: Dict[int, Optional[int]] = {}
+    if not (lo_w == 0 and hi_w == capacity):
+        borders[0] = prev_version
+    size = capacity
+    while size > 1:
+        fetch = [(lo, stamp) for lo, stamp in borders.items() if stamp is not None]
+        previous = yield from kv.get_many(
+            [node_key(blob_id, stamp, lo, lo + size) for lo, stamp in fetch]
         )
-        left_stamp = version
-    if hi_w > mid:  # intersects the right child
-        writes += yield from _update_node(
-            kv, blob_id, version, right_stamp, mid, hi,
-            descriptors, max(lo_w, mid), hi_w,
-        )
-        right_stamp = version
-
-    yield from kv.put(node_key(blob_id, version, lo, hi), ("node", left_stamp, right_stamp))
-    return writes + 1
+        inherited = {
+            lo: node for (lo, _stamp), node in zip(fetch, previous) if node is not None
+        }
+        half = size // 2
+        borders = {}
+        for lo in range(lo_w - lo_w % size, hi_w, size):
+            mid, hi = lo + half, lo + size
+            _tag, left, right = inherited.get(lo, ("node", None, None))
+            if lo_w < mid:  # write range intersects the left child
+                if lo_w > lo or hi_w < mid:
+                    borders[lo] = left
+                left = version
+            if hi_w > mid:  # intersects the right child
+                if lo_w > mid or hi_w < hi:
+                    borders[mid] = right
+                right = version
+            nodes.append((lo, hi, ("node", left, right)))
+        size = half
+    nodes.extend((i, i + 1, ("leaf", descriptors[i])) for i in range(lo_w, hi_w))
+    return nodes
 
 
 def tree_query(
@@ -177,11 +195,9 @@ def _query_node(
 
 
 def tree_node_count(span: int, capacity: int = DEFAULT_CAPACITY) -> int:
-    """Upper bound on KV puts for an update covering *span* chunks.
-
-    Used by capacity planning in the elasticity controller: an update
-    touches at most ``2*span`` leaf-side nodes plus the two boundary
-    paths to the root.
+    """Upper bound on the nodes :func:`tree_update` stores for an update
+    covering *span* chunks: at most ``2*span`` leaf-side nodes plus the
+    two boundary paths to the root.
     """
     _check_capacity(capacity)
     depth = capacity.bit_length() - 1

@@ -201,3 +201,133 @@ def test_metadata_counters_track_ops():
     assert provider.puts == 1
     assert provider.gets == 2
     assert len(provider) == 1
+
+
+# -- batched metadata I/O -------------------------------------------------------
+def make_metadata_store(providers=3, cache_mb=None):
+    from repro.cache import Cache
+
+    bed = Testbed(TestbedConfig(seed=55))
+    nodes = [bed.add_node(f"m{i}") for i in range(providers)]
+    metas = [MetadataProvider(n, f"meta-{i}") for i, n in enumerate(nodes)]
+    client_node = bed.add_node("client")
+    cache = None if cache_mb is None else Cache("meta", cache_mb, env=bed.env)
+    return bed, MetadataStore(bed.net, client_node, metas, cache=cache)
+
+
+def run_store_op(bed, generator):
+    start = bed.env.now
+    value = bed.run(until=bed.env.process(generator))
+    return value, bed.env.now - start
+
+
+def count_messages(monkeypatch, bed):
+    sent = []
+    transfer = bed.net.transfer
+
+    def counting(src, dst, size, *args, **kwargs):
+        sent.append((src, dst))
+        return transfer(src, dst, size, *args, **kwargs)
+
+    monkeypatch.setattr(bed.net, "transfer", counting)
+    return sent
+
+
+@pytest.mark.parametrize("count", [1, 4, 30])
+def test_metadata_batches_send_one_exchange_per_provider(monkeypatch, count):
+    bed, store = make_metadata_store()
+    sent = count_messages(monkeypatch, bed)
+    items = {f"key-{i}": i for i in range(count)}
+    targets = {store._provider_for(key) for key in items}
+
+    _none, put_s = run_store_op(bed, store.put_many(items))
+    assert len(sent) == 2 * len(targets)
+    sent.clear()
+    values, get_s = run_store_op(bed, store.get_many(list(items) + ["absent"]))
+    assert values == list(range(count)) + [None]
+    targets.add(store._provider_for("absent"))
+    assert len(sent) == 2 * len(targets)
+    assert sum(len(p.store) for p in store.providers) == count
+
+    # One round trip whatever the key count: the time of a single get.
+    _value, single_s = run_store_op(bed, store.get("key-0"))
+    assert put_s == pytest.approx(single_s)
+    assert get_s == pytest.approx(single_s)
+
+
+def test_metadata_batches_cache_like_per_key_path():
+    keys = [f"key-{i}" for i in range(12)]
+    present = {key: i for i, key in enumerate(keys) if i % 3}
+
+    def drive(batched):
+        bed, store = make_metadata_store(cache_mb=8.0)
+        for key, value in present.items():
+            store._provider_for(key).local_put(key, value)
+
+        def scenario(env):
+            yield from store.get("key-1")  # warm one positive entry
+            yield from store.get("key-3")  # ... and one negative entry
+            if batched:
+                got = yield from store.get_many(keys)
+                yield from store.put_many({"new-a": "A", "new-b": "B"})
+            else:
+                got = []
+                for key in keys:
+                    got.append((yield from store.get(key)))
+                yield from store.put("new-a", "A")
+                yield from store.put("new-b", "B")
+            return got
+
+        got, _elapsed = run_store_op(bed, scenario(bed.env))
+        cache = store.cache
+        stats = cache.stats.to_dict()
+        entries = {key: cache.lookup(key) for key in keys + ["new-a", "new-b"]}
+        return got, stats, entries
+
+    per_key, batched = drive(False), drive(True)
+    assert batched == per_key
+    _got, _stats, entries = batched
+    assert entries["key-3"][0] and entries["key-1"] == (True, 1)  # negative and positive
+    assert entries["new-b"] == (True, "B")  # write-through
+
+
+@pytest.mark.parametrize("op", ["put_many", "get_many"])
+def test_metadata_batch_to_dead_provider_sends_nothing(monkeypatch, op):
+    from repro.cluster.node import NodeDownError
+
+    bed, store = make_metadata_store()
+    items = {f"key-{i}": i for i in range(30)}
+    assert store.providers[1] in {store._provider_for(key) for key in items}
+    store.providers[1].node.fail()
+    sent = count_messages(monkeypatch, bed)
+
+    def scenario(env):
+        try:
+            if op == "put_many":
+                yield from store.put_many(items)
+            else:
+                yield from store.get_many(list(items))
+        except NodeDownError:
+            return "down"
+        return "ok"
+
+    outcome, _elapsed = run_store_op(bed, scenario(bed.env))
+    assert outcome == "down"
+    assert sent == []
+    assert all(len(p.store) == 0 for p in store.providers)
+    assert all(p.puts == 0 and p.gets == 0 for p in store.providers)
+
+
+def test_local_kv_batches():
+    kv = LocalKV()
+
+    def drain(gen):
+        try:
+            while True:
+                next(gen)
+        except StopIteration as stop:
+            return stop.value
+
+    assert drain(kv.put_many({"a": 1, "b": None})) is None
+    assert drain(kv.get_many(["b", "missing", "a"])) == [None, None, 1]
+    assert drain(kv.get_many([])) == []

@@ -114,3 +114,48 @@ def test_write_retry_works_under_failure_detector():
         directory.update(provider.chunks)
     descriptor = next(iter(directory.values()))
     assert state["victim"].provider_id not in descriptor.replicas
+
+
+def test_metadata_provider_crash_abandons_append_then_next_append_chains():
+    from repro.blobseer.segment_tree import tree_query
+    from repro.cluster.node import NodeDownError
+
+    dep = make_deployment()
+    env = dep.env
+    client = dep.new_client("c1")
+    meta_node = dep.metadata_providers[0].node
+    state = {}
+
+    def scenario():
+        blob_id = yield env.process(client.create_blob(64.0))
+        state["blob"] = blob_id
+        yield env.process(client.append(blob_id, 128.0))  # v1: chunks 0, 1
+        append = env.process(client.append(blob_id, 64.0))
+        yield env.timeout(0.2)
+        assert any(f.src.name == client.node.name and f.size > 1.0
+                   for f in dep.net.flows), "expected an in-flight chunk push"
+        meta_node.fail()  # before the append reaches its metadata write
+        try:
+            yield append
+        except NodeDownError as exc:
+            state["error"] = exc
+        meta_node.recover()
+        state["next"] = yield env.process(client.append(blob_id, 64.0))
+        state["read"] = yield env.process(client.read(blob_id, 0.0, 192.0))
+        state["tree"] = yield from tree_query(
+            client.meta, blob_id, state["next"].version, 0, 4,
+            capacity=dep.vmanager.tree_capacity,
+        )
+
+    dep.run(until=env.process(scenario()))
+    blob_id = state["blob"]
+    assert isinstance(state["error"], NodeDownError)
+    assert dep.vmanager.blob_info(blob_id).versions[2].abandoned
+    assert state["next"].ok and state["next"].version == 3
+    assert dep.vmanager.latest(blob_id)[:2] == (3, 192.0)
+    assert state["read"].ok
+    # v3 inherits v1's chunks: it chained onto the latest published
+    # version, not onto the abandoned v2 (which has no tree).
+    tree = state["tree"]
+    assert sorted(tree) == [0, 1, 2]
+    assert [tree[i].version for i in range(3)] == [1, 1, 3]
