@@ -40,6 +40,8 @@ from repro.workloads import (
     build_dos_scenario,
 )
 
+from .golden import assert_digest
+
 # Small-but-eventful disturbance config shared by the tuner twins.
 DISTURB = dict(readers=3, dataset_chunks=24, shift_at=30.0, churn_at=55.0,
                churn_heal_s=15.0, duration=80.0, seed=3)
@@ -84,6 +86,17 @@ def test_cache_tuner_twin_is_byte_identical_to_legacy():
     assert legacy.tuner.capacity_timeline == framework.tuner.capacity_timeline
     # Not just the decisions: the whole simulated world is identical.
     assert legacy.observables() == framework.observables()
+
+
+def test_cache_tuner_matches_golden_digest():
+    scenario = build_disturbance_scenario(**DISTURB)
+    scenario.run()
+    assert_digest("engines", "cache-tuner", {
+        "decisions": decision_stream(scenario.tuner),
+        "capacity_timeline": scenario.tuner.capacity_timeline,
+        "planner": scenario.tuner.planner_info(),
+        "observables": scenario.observables(),
+    })
 
 
 def test_framework_tuner_default_planner_matches_legacy_params():
@@ -136,6 +149,18 @@ def test_elasticity_twin_is_byte_identical_to_legacy():
         (ported.scale_ups, ported.scale_downs)
     assert dep_a.pmanager.pool_size() == dep_b.pmanager.pool_size()
     assert dep_a.env.events_processed == dep_b.env.events_processed
+
+
+def test_elasticity_matches_golden_digest():
+    dep, engine = elasticity_world(11, ElasticityEngine)
+    assert_digest("engines", "elasticity", {
+        "decisions": decision_stream(engine),
+        "pool_timeline": engine.pool_timeline,
+        "scale_ups": engine.scale_ups,
+        "scale_downs": engine.scale_downs,
+        "pool_size": dep.pmanager.pool_size(),
+        "events": dep.env.events_processed,
+    })
 
 
 def test_elasticity_effect_attribution_populates_time_to_effect():
@@ -217,6 +242,19 @@ def test_replication_twin_is_byte_identical_to_legacy():
     assert dep_a.env.events_processed == dep_b.env.events_processed
     for key, descriptor in ported.impl.chunk_directory().items():
         assert len(ported.impl.live_replicas(descriptor)) >= 2
+
+
+def test_replication_matches_golden_digest():
+    dep, engine, _ = replication_world(7, use_framework=True)
+    assert_digest("engines", "replication", {
+        "decisions": decision_stream(engine),
+        "repairs": engine.repairs_done,
+        "promotions": engine.promotions,
+        "demotions": engine.demotions,
+        "repair_traffic_mb": engine.repair_traffic_mb,
+        "lost_chunks": engine.lost_chunks,
+        "events": dep.env.events_processed,
+    })
 
 
 def test_replication_effect_attribution_populates_time_to_effect():
