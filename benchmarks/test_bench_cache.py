@@ -10,7 +10,8 @@ reader hammering a seeded skewed hot set):
 - ``on``   — client chunk + metadata tiers and the provider memory
   tier enabled at fixed capacities,
 - ``tuned`` — same tiers under-provisioned at the client, with the
-  :class:`~repro.adaptation.CacheTuner` reallocating capacity live.
+  cache tuner (:func:`~repro.decision.engines.build_cache_tuner`)
+  reallocating capacity live.
 
 Shape claims: caches-on aggregate read throughput is >= 2x off; the
 tuner grows the thrashing reader chunk caches and shrinks the idle

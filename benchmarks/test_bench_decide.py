@@ -7,9 +7,8 @@ RDMSim arXiv:2105.01978) is that alternative decision techniques become
 journal, same scorecard — only the Plan stage swaps.  This bench runs
 the matrix:
 
-- **legacy** — the original in-place :class:`CacheTuner` engine;
-- **marginal-utility** — the same law extracted as a framework planner
-  (asserted byte-identical to legacy, decision for decision);
+- **marginal-utility** — the default cache-tuner plan (its decisions
+  are pinned by the golden digests in ``tests/golden/engines.json``);
 - **threshold** — the memoryless ECA control arm;
 - **hill-climb** — reward-driven local search on client throughput;
 - **epsilon-greedy** — a bandit over (cache, ±step) arms, drawing from
@@ -53,14 +52,9 @@ SIZES = {
 
 SEED = 1
 
-#: The matrix axis: display name -> build_disturbance_scenario planner=.
-PLANNER_MATRIX = [
-    ("legacy", None),
-    ("marginal-utility", "marginal-utility"),
-    ("threshold", "threshold"),
-    ("hill-climb", "hill-climb"),
-    ("epsilon-greedy", "epsilon-greedy"),
-]
+#: The matrix axis: build_disturbance_scenario planner= names.
+PLANNER_MATRIX = ["marginal-utility", "threshold", "hill-climb",
+                  "epsilon-greedy"]
 
 
 def _size_kwargs():
@@ -71,16 +65,11 @@ def _size_kwargs():
     return SIZES[raw]
 
 
-def _decision_stream(loop):
-    return [(d.time, d.engine, d.action, tuple(sorted(d.detail.items())))
-            for d in loop.decisions]
-
-
 def _fmt_s(value):
     return f"{value:.1f}" if value is not None else "never"
 
 
-def _run_disturbance(name, planner, kwargs):
+def _run_disturbance(planner, kwargs):
     scenario = build_disturbance_scenario(
         with_journal=True, seed=SEED, planner=planner, **kwargs)
     scenario.run()
@@ -89,7 +78,7 @@ def _run_disturbance(name, planner, kwargs):
     disturbances = score["signals"]["throughput"]["disturbances"]
     engine = score["engines"].get("cache-tuner", {})
     return {
-        "config": name,
+        "config": planner,
         "scenario": scenario,
         "slo_violation_s": fleet["slo_violation_s"],
         "settle_shift_s": disturbances["hot_set_shift"]["settling_s"],
@@ -103,7 +92,7 @@ def _run_disturbance(name, planner, kwargs):
     }
 
 
-def _run_contention(name, planner, kwargs):
+def _run_contention(planner, kwargs):
     scenario = build_contention_scenario(
         with_journal=True, seed=0, planner=planner, **kwargs)
     scenario.run()
@@ -111,12 +100,12 @@ def _run_contention(name, planner, kwargs):
     # The acceptance invariant: the conserved budget is never exceeded,
     # under any planner (also checked live on every settlement).
     assert ledger.peak_used <= ledger.capacity + 1e-9, (
-        f"{name}: ledger overspent ({ledger.peak_used} > {ledger.capacity})")
+        f"{planner}: ledger overspent ({ledger.peak_used} > {ledger.capacity})")
     score = scenario.scorecard()
     fleet = score["fleet"]
     disturbances = score["signals"]["throughput"]["disturbances"]
     return {
-        "config": name,
+        "config": planner,
         "scenario": scenario,
         "slo_violation_s": fleet["slo_violation_s"],
         "settle_shift_s": disturbances["hot_set_shift"]["settling_s"],
@@ -135,28 +124,14 @@ def test_bench_decide(benchmark):
     sizes = _size_kwargs()
 
     def run_all():
-        disturbance = [
-            _run_disturbance(name, planner, sizes["disturbance"])
-            for name, planner in PLANNER_MATRIX
-        ]
-        contention = [
-            _run_contention(name, planner, sizes["contention"])
-            for name, planner in PLANNER_MATRIX
-            if planner is not None  # the contention loops are framework-only
-        ]
+        disturbance = [_run_disturbance(planner, sizes["disturbance"])
+                       for planner in PLANNER_MATRIX]
+        contention = [_run_contention(planner, sizes["contention"])
+                      for planner in PLANNER_MATRIX]
         return disturbance, contention
 
     disturbance, contention = once(benchmark, run_all)
-    by_name = {r["config"]: r for r in disturbance}
-    legacy = by_name["legacy"]
-    ported = by_name["marginal-utility"]
-
-    # The porting contract, re-proven inside the bench: the extracted
-    # marginal-utility planner IS the legacy engine, byte for byte.
-    assert _decision_stream(legacy["scenario"].tuner) == \
-        _decision_stream(ported["scenario"].tuner), (
-        "marginal-utility must replay the legacy tuner decision-for-decision")
-    assert legacy["scenario"].observables() == ported["scenario"].observables()
+    ported = {r["config"]: r for r in disturbance}["marginal-utility"]
 
     rows = [
         ("disturbance", r["config"], f"{r['slo_violation_s']:.1f}",
@@ -186,8 +161,8 @@ def test_bench_decide(benchmark):
          "ledger_peak"],
         rows,
         notes=[
-            "marginal-utility verified byte-identical to the legacy "
-            "CacheTuner (decision stream and full observables)",
+            "marginal-utility is the default cache-tuner plan; its "
+            "decisions are pinned by tests/golden/engines.json",
             "contention: elasticity (band 0) preempts cache capacity "
             "(band 1) on one conserved memory_mb ledger; used <= capacity "
             "asserted on every settlement, for every planner",
@@ -204,10 +179,9 @@ def test_bench_decide(benchmark):
 
     # Shape assertions: the matrix is meaningful, not vacuous.
     for r in disturbance:
-        if r["config"] != "legacy":
-            assert r["planner_reported"] == r["config"], (
-                f"scorecard must attribute {r['config']} decisions to its "
-                f"planner (got {r['planner_reported']!r})")
+        assert r["planner_reported"] == r["config"], (
+            f"scorecard must attribute {r['config']} decisions to its "
+            f"planner (got {r['planner_reported']!r})")
         assert r["decisions"] > 0, f"{r['config']} must actually adapt"
     # Every engine's time-to-effect is populated on the disturbance run.
     assert ported["time_to_effect_s"] is not None

@@ -10,7 +10,7 @@ surplus.
 
 from _util import once, report
 
-from repro.adaptation import ElasticityController
+from repro.decision import ElasticityEngine
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
 from repro.workloads import CorrectWriter
@@ -31,7 +31,7 @@ def run_config(elastic: bool):
     env = deployment.env
     controller = None
     if elastic:
-        controller = ElasticityController(
+        controller = ElasticityEngine(
             deployment,
             min_providers=4, max_providers=24,
             high_load=0.45, low_load=0.1,

@@ -20,10 +20,10 @@ only after the first confirmation, never before.
 
 from _util import env_stats, once, report
 
-from repro.adaptation import ReplicationManager
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.blobseer.errors import BlobSeerError
 from repro.cluster import FaultInjector, NodeDownError, TestbedConfig
+from repro.decision import ReplicationEngine
 from repro.robustness import RetryPolicy
 from repro.simulation.network import TransferAborted
 from repro.telemetry.metrics import MetricsRegistry
@@ -58,7 +58,7 @@ def run_churn(detector_on: bool):
             jitter=0.1, rng=deployment.rng.stream("bench.retry"),
         )
         timeout_s = 8.0
-    manager = ReplicationManager(
+    manager = ReplicationEngine(
         deployment, target_replication=2, interval_s=5.0, detector=detector,
     )
     env.process(manager.run(env))

@@ -21,11 +21,11 @@ from repro.adaptation import (
     LRURemoval,
     OrphanRemoval,
     RemovalManager,
-    ReplicationManager,
     TTLRemoval,
 )
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import FaultInjector, TestbedConfig
+from repro.decision import ReplicationEngine
 from repro.workloads import CorrectWriter
 
 
@@ -40,7 +40,7 @@ def run_availability(replication: int, repair: bool):
     env = deployment.env
     manager = None
     if repair:
-        manager = ReplicationManager(
+        manager = ReplicationEngine(
             deployment, target_replication=replication, interval_s=5.0,
         )
         env.process(manager.run(env))

@@ -1,16 +1,16 @@
 """Self-configuration demo: the provider pool breathes with the load.
 
-A burst of writers arrives, the elasticity controller expands the data-
+A burst of writers arrives, the elasticity engine expands the data-
 provider pool; when the burst ends it drains and retires providers,
 migrating sole-copy chunks first (no data loss).  Alongside, the
-replication manager heals a provider crash.
+replication engine heals a provider crash.
 
 Run:  python examples/elastic_storage.py
 """
 
-from repro.adaptation import ElasticityController, ReplicationManager
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import FaultInjector, TestbedConfig
+from repro.decision import ElasticityEngine, ReplicationEngine
 from repro.workloads import CorrectWriter
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     ))
     env = deployment.env
 
-    elasticity = ElasticityController(
+    elasticity = ElasticityEngine(
         deployment,
         min_providers=4,
         max_providers=24,
@@ -34,7 +34,7 @@ def main() -> None:
         cooldown_s=10.0,
         provision_delay_s=8.0,
     )
-    replication = ReplicationManager(deployment, target_replication=2, interval_s=5.0)
+    replication = ReplicationEngine(deployment, target_replication=2, interval_s=5.0)
     env.process(elasticity.run(env))
     env.process(replication.run(env))
 
@@ -49,7 +49,7 @@ def main() -> None:
     for writer in writers:
         env.process(writer.run(env))
 
-    # One provider crashes mid-burst; the replication manager repairs.
+    # One provider crashes mid-burst; the replication engine repairs.
     injector = FaultInjector(deployment.testbed)
     injector.crash_at(deployment.providers["provider-1"].node, at=60.0)
 

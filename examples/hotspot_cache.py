@@ -6,7 +6,8 @@ Runs the Zipf hot-spot scenario three times on the same seed:
 2. caches on at fixed capacities (client chunk + metadata tiers,
    provider memory-over-disk tier),
 3. caches on but under-provisioned at the clients, with the adaptive
-   :class:`~repro.adaptation.CacheTuner` reallocating capacity live.
+   cache tuner (:func:`~repro.decision.engines.build_cache_tuner`)
+   reallocating capacity live.
 
 Prints aggregate read throughput for each mode, per-tier hit rates, the
 tuner's decisions and its capacity timeline (watch the thrashing reader

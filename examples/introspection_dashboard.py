@@ -22,9 +22,9 @@ Run:  python examples/introspection_dashboard.py
 """
 
 from repro import telemetry
-from repro.adaptation import CacheTuner
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
+from repro.decision import build_cache_tuner
 from repro.introspection import (
     AdaptationScorecard,
     Dashboard,
@@ -94,8 +94,8 @@ def main(trace_path: str = DEFAULT_TRACE_PATH, until: float = 150.0) -> None:
 
     # Dry-run cache tuner = cache-stats probe: it publishes the
     # cache.<name>.* series the query engine rolls up, without resizing.
-    tuner = CacheTuner(engine, caches=deployment.caches,
-                       interval_s=10.0, dry_run=True)
+    tuner = build_cache_tuner(engine, caches=deployment.caches,
+                              interval_s=10.0, dry_run=True)
     tuner.attach_journal(journal)
     env.process(tuner.run(env), name="cache-tuner")
 

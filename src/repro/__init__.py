@@ -9,7 +9,9 @@ Subpackages
 - ``repro.monitoring``    MonALISA-substitute monitoring layer
 - ``repro.introspection`` aggregation + visualization of system state
 - ``repro.security``      policy definition / detection / enforcement / trust
-- ``repro.adaptation``    self-configuration & self-optimization engines
+- ``repro.adaptation``    the MAPE-K control loop + data-removal engine
+- ``repro.decision``      self-configuration & self-optimization engines
+                          on pluggable planners and a resource arbiter
 - ``repro.cloud``         S3-compatible (Cumulus-style) gateway
 - ``repro.workloads``     correct / malicious client behaviours, scenarios
 - ``repro.telemetry``     sim-time tracing spans, metrics, kernel profiling

@@ -1,10 +1,11 @@
-"""Self-* adaptation engines: elasticity (self-configuration),
-replication, removal & cache tuning (self-optimization), built on a
-MAPE-K loop."""
+"""The MAPE-K control loop every self-* engine runs on, and the
+data-removal engine (self-optimization).
 
-from .cache_tuner import CacheTuner
+The cache-tuner, elasticity and replication engines live in
+:mod:`repro.decision.engines`.
+"""
+
 from .controller import AdaptationDecision, ControlLoop
-from .elasticity import ElasticityController
 from .removal import (
     ColdDataRemoval,
     LRURemoval,
@@ -13,15 +14,10 @@ from .removal import (
     RemovalStrategy,
     TTLRemoval,
 )
-from .replication_manager import ReplicationManager, migrate_chunks
 
 __all__ = [
     "ControlLoop",
     "AdaptationDecision",
-    "CacheTuner",
-    "ElasticityController",
-    "ReplicationManager",
-    "migrate_chunks",
     "RemovalManager",
     "RemovalStrategy",
     "TTLRemoval",

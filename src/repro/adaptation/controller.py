@@ -1,16 +1,25 @@
-"""MAPE-K control loop base for the self-* engines (paper §V).
+"""MAPE-K control loop shared by every self-* engine (paper §V).
 
 All adaptation engines share the same skeleton: a periodic simulated
 process that Monitors (via the introspection layer), Analyzes, Plans and
 Executes, with shared Knowledge in the engine's own state.  Decisions
 are logged so benches can report *when* and *why* the system adapted.
+
+The default step is wired from the decision framework's parts
+(:mod:`repro.decision`): a ``sense`` hook (Monitor — publish fresh
+samples), a :class:`~repro.decision.planners.Planner` over a knob
+domain (Analyze + Plan), and arbitrated execution (Execute — every
+action is funded through the :class:`~repro.decision.arbiter.Arbiter`
+before its ``apply`` hook runs).  Actions are applied **as the planner
+yields them** (no batch barrier): a generator planner that reads the
+domain after yielding a shrink sees the post-shrink state.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = ["AdaptationDecision", "ControlLoop"]
 
@@ -28,10 +37,13 @@ class AdaptationDecision:
 class ControlLoop:
     """Periodic monitor→analyze→plan→execute loop.
 
-    Subclasses implement :meth:`step`, which inspects the system and
-    returns a list of decisions (possibly empty).  A cooldown suppresses
-    oscillation: after any non-empty step, the loop holds off for
-    ``cooldown_s``.
+    Each tick runs :meth:`step`, which returns a list of decisions
+    (possibly empty).  By default it senses, then funds and applies
+    every action the attached *planner* yields over *domain*; without a
+    planner it decides nothing.  Engines whose plan is not a framework
+    planner (removal, the rollup advisor) override :meth:`step`.  A
+    cooldown suppresses oscillation: after any non-empty step, the loop
+    holds off for ``cooldown_s``.
 
     Health signals (§III-B → §V): after :meth:`attach_health`, each tick
     drains the monitor's new :class:`~repro.introspection.health.HealthEvent`\\ s
@@ -67,9 +79,21 @@ class ControlLoop:
         cooldown_s: float = 0.0,
         max_decisions: int = 2048,
         latency_metrics: bool = False,
+        planner=None,
+        domain=None,
+        arbiter=None,
+        name: Optional[str] = None,
     ) -> None:
         if max_decisions < 1:
             raise ValueError("max_decisions must be >= 1")
+        if name is not None:
+            self.name = name
+        self.planner = planner
+        self.domain = domain
+        #: Optional Arbiter; actions it refuses to fund are not applied.
+        self.arbiter = arbiter
+        self.applied = 0
+        self.denied = 0
         self.interval_s = interval_s
         self.cooldown_s = cooldown_s
         #: Retained decision window (plain list: slicing keeps working).
@@ -117,13 +141,10 @@ class ControlLoop:
         return self
 
     def planner_info(self) -> Optional[Dict[str, Any]]:
-        """Name + parameters of this engine's decision technique.
-
-        ``None`` (the base default) means unadvertised.  Framework
-        :class:`~repro.decision.loop.DecisionLoop` engines report their
-        attached planner; legacy engines report their built-in one.
-        """
-        return None
+        """Name + parameters of the attached planner (``None`` = none)."""
+        if self.planner is None:
+            return None
+        return self.planner.info()
 
     def note(self, **evidence: Any) -> None:
         """Stash planning evidence for provenance (cheap, unconditional)."""
@@ -143,9 +164,35 @@ class ControlLoop:
             self._health_pos
         )
 
+    # -- framework hooks ---------------------------------------------------------
+    def sense(self, now: float) -> None:
+        """Monitor stage: publish fresh samples before planning."""
+
+    def plan(self, now: float) -> Iterable[Any]:
+        """Plan stage; defaults to the attached planner."""
+        if self.planner is None:
+            return ()
+        return self.planner.plan(self, now)
+
+    def submit(self, action, now: float) -> Optional[AdaptationDecision]:
+        """Fund and apply one action; None if the arbiter denied it."""
+        if self.arbiter is not None and not self.arbiter.admit(action):
+            self.denied += 1
+            return None
+        action.execute()
+        self.applied += 1
+        return action.decision(now)
+
     def step(self, now: float) -> List[AdaptationDecision]:
-        """Inspect + adapt; implemented by subclasses."""
-        raise NotImplementedError
+        self.sense(now)
+        decisions: List[AdaptationDecision] = []
+        # Consume lazily: each action is funded and applied before the
+        # planner resumes, so the plan observes post-apply state.
+        for action in self.plan(now):
+            decision = self.submit(action, now)
+            if decision is not None:
+                decisions.append(decision)
+        return decisions
 
     def run(self, env):
         """Generator: start with ``env.process(loop.run(env))``."""

@@ -148,11 +148,13 @@ class RemovalManager(ControlLoop):
         self.removed_chunks = 0
 
     def _protected_keys(self) -> Set[str]:
-        """Chunks referenced by the latest published version of any blob.
+        """Chunks the latest published version of any blob reads, plus
+        chunks of versions written but not yet published.
 
-        Resolved through the version managers' blob registry: a chunk
-        whose version is the blob's current latest must not be deleted by
-        background policies.
+        Resolved through the version managers' blob registry.  A
+        snapshot references, for each chunk index, the newest chunk
+        written at or below its version — after several appends that
+        includes chunks of older versions, which must survive too.
         """
         protected: Set[str] = set()
         if not self.protect_latest:
@@ -164,11 +166,22 @@ class RemovalManager(ControlLoop):
             for vm in self.deployment.authority_vms()
             for blob_id, info in vm.blobs.items()
         }
-        for provider in self.deployment.pmanager.providers.values():
-            for key, descriptor in provider.chunks.items():
-                current = latest.get(descriptor.blob_id, 0)
-                if 0 <= descriptor.version and descriptor.version >= current:
-                    protected.add(key)
+        published = [
+            (key, descriptor)
+            for provider in self.deployment.pmanager.providers.values()
+            for key, descriptor in provider.chunks.items()
+            if descriptor.version >= 0
+        ]
+        newest: Dict[Tuple[int, int], int] = {}
+        for _key, descriptor in published:
+            if descriptor.version <= latest.get(descriptor.blob_id, 0):
+                slot = (descriptor.blob_id, descriptor.chunk_index)
+                newest[slot] = max(newest.get(slot, -1), descriptor.version)
+        for key, descriptor in published:
+            slot = (descriptor.blob_id, descriptor.chunk_index)
+            if (descriptor.version > latest.get(descriptor.blob_id, 0)
+                    or descriptor.version == newest.get(slot)):
+                protected.add(key)
         return protected
 
     def step(self, now: float) -> List[AdaptationDecision]:

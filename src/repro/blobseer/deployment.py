@@ -125,7 +125,7 @@ class BlobSeerDeployment:
         self.detector = None
         self._detector_lazy_cleanup = False
         #: Every cache tier built by this deployment (clients, providers,
-        #: gateways) registers here so a CacheTuner can adopt them all.
+        #: gateways) registers here so the cache tuner can adopt them all.
         self.caches: List["Cache"] = []
 
         # -- management actors -------------------------------------------------
@@ -365,7 +365,7 @@ class BlobSeerDeployment:
 
     def retire_provider(self, provider_id: str) -> DataProvider:
         """Stop allocating onto a provider; chunks must be migrated first
-        (see ``repro.adaptation.replication_manager.migrate_chunks``)."""
+        (see :func:`repro.decision.engines.migrate_chunks`)."""
         provider = self.providers[provider_id]
         provider.decommission()
         self.active_pmanager().deregister(provider_id)
@@ -389,7 +389,7 @@ class BlobSeerDeployment:
         the provider manager's membership at the detector's view and —
         with *lazy_cleanup* — defers chunk-directory scrubbing until a
         crash is actually *detected*.  Returns the detector; pass it to
-        :class:`~repro.adaptation.ReplicationManager` so repair traffic
+        :class:`~repro.decision.engines.ReplicationEngine` so repair traffic
         is detection-gated too.
         """
         if self.detector is not None:

@@ -20,8 +20,8 @@ Tiers built on :class:`Cache`:
   skip the BlobSeer back end.
 
 All tiers default **off**; cache-less runs are byte-identical per seed.
-Capacities are re-balanced at runtime by
-:class:`~repro.adaptation.CacheTuner` (self-optimization).
+Capacities are re-balanced at runtime by the cache tuner,
+:func:`~repro.decision.engines.build_cache_tuner` (self-optimization).
 """
 
 from .core import Cache, CacheStats, SizeAdmission

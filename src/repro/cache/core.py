@@ -10,8 +10,9 @@ version, the Cumulus gateway case).
 Every :class:`Cache` keeps per-cache :class:`CacheStats` and, when the
 environment carries a :class:`~repro.telemetry.metrics.MetricsRegistry`,
 mirrors them into ``cache.<name>.*`` counters and gauges so the
-introspection layer (and the :class:`~repro.adaptation.CacheTuner`) can
-watch hit rates and occupancy without touching cache internals.
+introspection layer (and the cache tuner,
+:func:`~repro.decision.engines.build_cache_tuner`) can watch hit rates
+and occupancy without touching cache internals.
 """
 
 from __future__ import annotations

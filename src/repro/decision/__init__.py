@@ -1,11 +1,10 @@
 """`repro.decision` — the pluggable MAPE-K decision framework.
 
-The paper's self-* engines (self-configuration, self-optimization,
-self-protection, §V) each grew their own ad-hoc MAPE-K loop with private
-sensor and actuator conventions.  This package is the shared substrate
-that makes alternative decision techniques drop-in comparable (RDMSim,
-arXiv:2105.01978, is the exemplar; the SEAMS survey, arXiv:2103.11481,
-supplies the quality metrics the PR-8 scorecard computes):
+The paper's self-configuration and self-optimization engines (§V) run
+on one shared MAPE-K substrate, which makes alternative decision
+techniques drop-in comparable (RDMSim, arXiv:2105.01978, is the
+exemplar; the SEAMS survey, arXiv:2103.11481, supplies the quality
+metrics the adaptation scorecard computes):
 
 - **sensors** — :class:`SignalRef`: a typed reference to one windowed
   statistic, resolved through the introspection
@@ -19,13 +18,12 @@ supplies the quality metrics the PR-8 scorecard computes):
 - **arbitration** — the :class:`Arbiter`: priority bands over conserved
   :class:`ResourceLedger`\\ s, so loops competing for one budget (cache
   bytes vs. provider pool memory) can never jointly overspend it;
-- **loop** — :class:`DecisionLoop`, a
-  :class:`~repro.adaptation.controller.ControlLoop` that wires the four
-  together and journals through the standard provenance path;
-- **engines** — the paper's four engines ported onto the framework
-  (:func:`build_cache_tuner`, :class:`ElasticityEngine`,
-  :class:`ReplicationEngine`, :class:`SecurityEngine`), byte-identical
-  in their decisions to the legacy implementations per seed.
+- **loop** — :class:`~repro.adaptation.controller.ControlLoop`, whose
+  default step wires the four together and journals through the
+  standard provenance path;
+- **engines** — the paper's self-configuration and self-optimization
+  engines (:func:`build_cache_tuner`, :class:`ElasticityEngine`,
+  :class:`ReplicationEngine`).
 """
 
 from .actions import Action
@@ -34,10 +32,9 @@ from .engines import (
     CacheTuningDomain,
     ElasticityEngine,
     ReplicationEngine,
-    SecurityEngine,
     build_cache_tuner,
+    migrate_chunks,
 )
-from .loop import DecisionLoop
 from .planners import (
     EpsilonGreedyPlanner,
     HillClimbPlanner,
@@ -59,10 +56,9 @@ __all__ = [
     "HillClimbPlanner",
     "EpsilonGreedyPlanner",
     "make_planner",
-    "DecisionLoop",
     "CacheTuningDomain",
     "build_cache_tuner",
     "ElasticityEngine",
     "ReplicationEngine",
-    "SecurityEngine",
+    "migrate_chunks",
 ]

@@ -4,11 +4,11 @@ An :class:`Action` is the unit of execution every planner emits: what to
 do (an ``apply`` hook), what it costs against shared resources (a
 ``cost`` map the :class:`~repro.decision.arbiter.Arbiter` settles against
 its ledgers), and how to roll it back (an optional ``undo`` hook).  The
-:class:`~repro.decision.loop.DecisionLoop` turns each applied action into
-the engine's standard
-:class:`~repro.adaptation.controller.AdaptationDecision`, so framework
-engines surface in decision rings, trace instants, metric counters and
-the provenance journal exactly like the legacy loops.
+:class:`~repro.adaptation.controller.ControlLoop` turns each applied
+action into the engine's standard
+:class:`~repro.adaptation.controller.AdaptationDecision`, so every
+engine surfaces in decision rings, trace instants, metric counters and
+the provenance journal the same way.
 """
 
 from __future__ import annotations

@@ -1,39 +1,41 @@
-"""The paper's four self-* engines, ported onto the decision framework.
+"""The paper's self-configuration and self-optimization engines (§V).
 
-Each port is a :class:`~repro.decision.loop.DecisionLoop` that produces
-**byte-identical decisions per seed** to its legacy counterpart (the
-legacy classes in ``repro.adaptation`` / ``repro.security`` are the
-compatibility shims — untouched, still constructible, still the default
-everywhere).  The twin-run tests in ``tests/test_decision_engines.py``
-assert the equivalence decision-by-decision.
+Each engine is a :class:`~repro.adaptation.controller.ControlLoop`
+driven by a :class:`~repro.decision.planners.Planner`; their decision
+streams per seed are pinned by the golden digests in
+``tests/golden/engines.json``.
 
 - :func:`build_cache_tuner` — self-optimization over a
-  :class:`CacheTuningDomain`; the knob surface the four interchangeable
-  planners compete on.  With the default
-  :class:`~repro.decision.planners.MarginalUtilityPlanner` it replays
-  the legacy :class:`~repro.adaptation.cache_tuner.CacheTuner` exactly.
+  :class:`CacheTuningDomain`, the knob surface the four interchangeable
+  planners compete on.  The default is the
+  :class:`~repro.decision.planners.MarginalUtilityPlanner`.
 - :class:`ElasticityEngine` — self-configuration (provider pool
   watermarks).  Scale actions carry a ``provider_cost_mb`` debit so an
   arbiter can charge pool growth against the same memory ledger cache
   capacity lives in.
-- :class:`ReplicationEngine` — self-optimization (replication degree).
-  Reuses the legacy sweep helpers via an internal
-  :class:`~repro.adaptation.replication_manager.ReplicationManager`
-  (never started as a process), so repair/promote/demote mechanics are
-  shared code, not a fork.
-- :class:`SecurityEngine` — self-protection.  Owns the detection scan
-  (start the legacy stack with ``PolicyManagement.start(scan=False)``)
-  and journals each sanction as a framework decision while reproducing
-  the legacy ``security.violation`` trace instants and counters.
+- :class:`ReplicationEngine` — self-optimization (replication degree):
+  repair, promote and demote sweeps over the chunk directory, plus
+  :func:`migrate_chunks`, which elasticity uses to drain a provider.
+
+Self-protection is not a planner loop: ``PolicyManagement.start()``
+runs :meth:`~repro.security.detection.DetectionEngine.run`, and
+``PolicyManagement.attach_journal`` journals each sanction.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..adaptation.replication_manager import ReplicationManager
+from ..adaptation.controller import ControlLoop
+from ..blobseer.blob import ChunkDescriptor
+from ..blobseer.deployment import BlobSeerDeployment
+from ..blobseer.errors import BlobSeerError, NoProvidersAvailable
+from ..blobseer.instrument import EV_REPLICA_REPAIR, MonitoringEvent
+from ..blobseer.provider import DataProvider
+from ..blobseer.rpc import TIMED_OUT, wait_or_timeout
+from ..cluster.node import NodeDownError
+from ..simulation.network import TransferAborted
 from .actions import Action
-from .loop import DecisionLoop
 from .planners import MarginalUtilityPlanner, Planner
 from .signals import SignalRef
 
@@ -42,7 +44,7 @@ __all__ = [
     "build_cache_tuner",
     "ElasticityEngine",
     "ReplicationEngine",
-    "SecurityEngine",
+    "migrate_chunks",
 ]
 
 _EPS = 1e-9
@@ -56,11 +58,17 @@ class CacheTuningDomain:
     """Knob surface over registered caches (the planner protocol's
     reference implementation — see :mod:`repro.decision.planners`).
 
-    Monitoring and sensing replicate the legacy
-    :class:`~repro.adaptation.cache_tuner.CacheTuner` exactly: interval
-    rates are published from cumulative :class:`CacheStats` diffs, and
-    signals are read back as sliding-window means through the query
-    engine.  ``pressure`` is evictions/s, ``activity`` is lookups/s.
+    Monitor: between steps each cache's cumulative :class:`CacheStats`
+    are differenced and the interval rates published as metrics series
+    (``cache.<name>.hit_rate``, ``.lookups_per_s``, ``.evictions_per_s``,
+    ``.bytes_mb``, ``.capacity_mb``).  Analyze: signals are read back as
+    sliding-window means through the query engine, so decisions
+    integrate over ``window_s`` of history rather than one noisy
+    interval.  ``pressure`` is evictions/s, ``activity`` is lookups/s.
+    Execute: :meth:`~repro.cache.Cache.resize`; with ``total_budget_mb``
+    set, :meth:`pool` bounds growth so the fleet-wide budget is
+    conserved.  ``dry_run`` observes and publishes only (a cache-stats
+    probe for dashboards).
     """
 
     def __init__(
@@ -99,7 +107,7 @@ class CacheTuningDomain:
         self.caches[cache.name] = cache
         return self
 
-    # -- monitor (identical arithmetic to the legacy tuner) ----------------------
+    # -- monitor -------------------------------------------------------------------
     def publish(self, now: float) -> None:
         metrics = self.query.metrics
         for name, cache in self.caches.items():
@@ -250,8 +258,8 @@ class CacheTuningDomain:
         return freed
 
 
-class _CacheTunerLoop(DecisionLoop):
-    """DecisionLoop shell around a :class:`CacheTuningDomain`."""
+class _CacheTunerLoop(ControlLoop):
+    """Control loop around a :class:`CacheTuningDomain`."""
 
     name = "cache-tuner"
 
@@ -266,7 +274,7 @@ class _CacheTunerLoop(DecisionLoop):
         )
         return decisions
 
-    # Legacy-compatible surface for benches and scenario plumbing.
+    # Domain views for benches and scenario plumbing.
     @property
     def caches(self) -> Dict[str, Any]:
         return self.domain.caches
@@ -274,10 +282,6 @@ class _CacheTunerLoop(DecisionLoop):
     @property
     def capacity_timeline(self):
         return self.domain.capacity_timeline
-
-    def register(self, cache) -> "_CacheTunerLoop":
-        self.domain.register(cache)
-        return self
 
 
 def build_cache_tuner(
@@ -297,11 +301,10 @@ def build_cache_tuner(
     name: str = "cache-tuner",
     **loop_kwargs: Any,
 ) -> _CacheTunerLoop:
-    """The framework cache tuner: legacy geometry, pluggable planner.
+    """The self-optimizing cache tuner with a pluggable planner.
 
-    With the default :class:`MarginalUtilityPlanner` (and matching
-    thresholds) its decisions are byte-identical per seed to the legacy
-    :class:`~repro.adaptation.cache_tuner.CacheTuner`.
+    Grows thrashing caches and shrinks insensitive ones; the default
+    planner is :class:`MarginalUtilityPlanner`.
     """
     domain = CacheTuningDomain(
         query, caches,
@@ -348,17 +351,25 @@ class _WatermarkPlanner(Planner):
         return self.engine._plan(now)
 
 
-class ElasticityEngine(DecisionLoop):
-    """Framework port of
-    :class:`~repro.adaptation.elasticity.ElasticityController`.
+class ElasticityEngine(ControlLoop):
+    """Self-configuration: dynamic data-provider deployment (paper §V).
 
-    Identical signals (NIC + disk-queue load, pool fill), identical
-    smoothing through the query engine, identical watermark plan — the
-    twin-run tests assert decision-for-decision equality per seed.  The
-    framework addition: ``scale_up`` debits and ``scale_down`` credits
-    ``provider_cost_mb`` MB per provider against *resource*, so an
-    arbiter can referee pool growth against cache capacity on one
-    conserved memory ledger.
+    "This is a means to support storage elasticity in BlobSeer, by
+    enabling the data providers to scale up and down depending on the
+    system's needs in terms of storage space and access load."
+
+    Two signals: **access load** (mean NIC utilisation + disk-queue
+    pressure across the active pool) and **storage space** (pool-wide
+    disk fill).  Above the high watermark it adds providers (the
+    dynamic VM deployment of the Nimbus integration); below the low
+    watermark it drains the least-loaded provider, migrating its
+    sole-copy chunks, and retires it.  With a *query* engine attached
+    it publishes ``elasticity.pool_load`` / ``.pool_fill`` /
+    ``.pool_size`` and smooths its readings over a sliding window.
+
+    ``scale_up`` debits and ``scale_down`` credits ``provider_cost_mb``
+    MB per provider against *resource*, so an arbiter can referee pool
+    growth against cache capacity on one conserved memory ledger.
     """
 
     name = "elasticity"
@@ -410,7 +421,7 @@ class ElasticityEngine(DecisionLoop):
         self._draining: set = set()
         self.pool_timeline: List[tuple] = []
 
-    # -- signals (identical to the legacy controller) ----------------------------
+    # -- signals -------------------------------------------------------------------
     def pool_load(self) -> float:
         providers = self.deployment.pmanager.active_providers()
         if not providers:
@@ -434,7 +445,7 @@ class ElasticityEngine(DecisionLoop):
         capacity = sum(p.node.disk.capacity for p in providers)
         return used / capacity if capacity else 1.0
 
-    # -- plan (identical control law, costed actions) ----------------------------
+    # -- plan (watermark control law, costed actions) ------------------------------
     def _plan(self, now: float) -> Iterable[Action]:
         pool = self.deployment.pmanager.pool_size() + self._provisioning
         load = self.pool_load()
@@ -508,9 +519,6 @@ class ElasticityEngine(DecisionLoop):
         self.deployment.add_provider()
 
     def _drain(self, provider):
-        from ..adaptation.replication_manager import migrate_chunks
-        from ..blobseer.errors import NoProvidersAvailable
-
         provider.decommission()
         self.deployment.active_pmanager().deregister(provider.provider_id)
         try:
@@ -535,27 +543,36 @@ class _SweepPlanner(Planner):
         self.engine = engine
 
     def params(self) -> Dict[str, Any]:
-        impl = self.engine.impl
+        e = self.engine
         return {
-            "target_replication": impl.target_replication,
-            "max_replication": impl.max_replication,
-            "hot_reads_per_s": impl.hot_reads_per_s,
+            "target_replication": e.target_replication,
+            "max_replication": e.max_replication,
+            "hot_reads_per_s": e.hot_reads_per_s,
         }
 
     def plan(self, loop, now: float) -> Iterable[Action]:
         return self.engine._plan(now)
 
 
-class ReplicationEngine(DecisionLoop):
-    """Framework port of
-    :class:`~repro.adaptation.replication_manager.ReplicationManager`.
+class ReplicationEngine(ControlLoop):
+    """Self-optimization: automatic data replication (paper §V).
 
-    The sweep mechanics (directory view, detector-aware liveness,
-    hotness estimation, repair copies) are *shared* with the legacy
-    class through an internal manager instance — only the MAPE shell is
-    the framework's.  Actions are applied as the sweep yields them, so
-    a demote frees disk that the very next repair's target pick can
-    use, exactly like the legacy in-place loop.
+    "a data-management system has to automatically maintain the
+    replication degree of data chunks and to support a dynamic
+    adjustment of the replication degree, according to the load of the
+    storage nodes and the applications access patterns."
+
+    Each step sweeps the chunk directory:
+
+    - **repair** — chunks whose live replica count fell below the
+      target (node crashes) are re-replicated from a surviving copy;
+    - **promote** — chunks read faster than ``hot_reads_per_s`` gain
+      extra replicas (up to ``max_replication``) to spread read load;
+    - **demote** — previously-hot chunks that cooled down drop back to
+      the target degree.
+
+    Actions are applied as the sweep yields them, so a demote frees
+    disk that the very next repair's target pick can use.
     """
 
     name = "replication"
@@ -577,75 +594,146 @@ class ReplicationEngine(DecisionLoop):
         super().__init__(arbiter=arbiter, interval_s=interval_s,
                          **loop_kwargs)
         self.planner = _SweepPlanner(self)
-        #: Legacy manager reused purely for its sweep helpers and
-        #: repair-copy processes; its own run() is never started.
-        self.impl = ReplicationManager(
-            deployment,
-            target_replication=target_replication,
-            max_replication=max_replication,
-            hot_reads_per_s=hot_reads_per_s,
-            interval_s=interval_s,
-            max_repairs_per_step=max_repairs_per_step,
-            detector=detector,
-            repair_timeout_s=repair_timeout_s,
-            query=query,
-        )
         self.deployment = deployment
         self.env = deployment.env
+        #: Optional introspection QueryEngine.  When set, each sweep
+        #: publishes its directory view as metrics series
+        #: (``replication.under_replicated`` / ``.hot_chunks`` /
+        #: ``.chunks`` / ``.in_flight``), giving the decision journal a
+        #: signal to attribute repair/promote effects against.
+        self.query = query
+        self.target_replication = target_replication
+        self.max_replication = max_replication
+        self.hot_reads_per_s = hot_reads_per_s
+        self.max_repairs_per_step = max_repairs_per_step
+        #: Optional HeartbeatFailureDetector.  When set, replica counts
+        #: follow the detector's *view*, not the ``node.alive`` oracle:
+        #: repair traffic for a crashed provider starts only after the
+        #: detector confirms it dead.
+        self.detector = detector
+        #: Bound on each repair copy; a copy whose source turns out to
+        #: be dead-but-undetected black-holes, and without a timeout the
+        #: chunk would be stuck in-flight forever.  Defaults on only in
+        #: detector mode (the oracle mode cannot black-hole).
+        if repair_timeout_s is None and detector is not None:
+            repair_timeout_s = 30.0
+        self.repair_timeout_s = repair_timeout_s
+        #: MB moved by repair/promotion traffic (bench metric).
+        self.repair_traffic_mb = 0.0
+        self.repairs_done = 0
+        self.promotions = 0
+        self.demotions = 0
+        self.lost_chunks: List[str] = []
+        #: read counters snapshot for hotness estimation
+        self._read_counts: Dict[str, Tuple[float, int]] = {}
+        self._in_flight: set[str] = set()
 
-    # Legacy-compatible reporting surface.
-    @property
-    def repairs_done(self) -> int:
-        return self.impl.repairs_done
+    # -- directory -----------------------------------------------------------------
+    def chunk_directory(self) -> Dict[str, ChunkDescriptor]:
+        """All chunks believed live, keyed by storage key."""
+        directory: Dict[str, ChunkDescriptor] = {}
+        for provider in self.deployment.pmanager.providers.values():
+            if self._presumed_dead(provider):
+                continue
+            directory.update(provider.chunks)
+        return directory
 
-    @property
-    def promotions(self) -> int:
-        return self.impl.promotions
+    def live_replicas(self, descriptor: ChunkDescriptor) -> List[DataProvider]:
+        providers = self.deployment.pmanager.providers
+        out = []
+        for provider_id in descriptor.replicas:
+            provider = providers.get(provider_id)
+            if provider is not None and self._believed_live(provider):
+                out.append(provider)
+        return out
 
-    @property
-    def demotions(self) -> int:
-        return self.impl.demotions
+    def _presumed_dead(self, provider: DataProvider) -> bool:
+        if (self.detector is not None
+                and self.detector.watches(provider.node.name)):
+            return self.detector.confirmed_dead(provider.node.name)
+        return not provider.node.alive
 
-    @property
-    def repair_traffic_mb(self) -> float:
-        return self.impl.repair_traffic_mb
+    def _believed_live(self, provider: DataProvider) -> bool:
+        if provider.decommissioned:
+            return False
+        if (self.detector is not None
+                and self.detector.watches(provider.node.name)):
+            # The detector's view, not the oracle: a crashed provider
+            # still counts as a replica until its death is *confirmed*,
+            # so repair traffic begins only after detection.
+            return not self.detector.confirmed_dead(provider.node.name)
+        return provider.node.alive
 
-    @property
-    def lost_chunks(self) -> List[str]:
-        return self.impl.lost_chunks
+    def _pick_source(self, replicas: List[DataProvider]) -> DataProvider:
+        """Prefer a replica the detector believes healthy (not suspected)."""
+        if self.detector is not None:
+            for provider in replicas:
+                if self.detector.thinks_alive(provider.node.name):
+                    return provider
+        return replicas[0]
 
+    def _pick_target(self, descriptor: ChunkDescriptor) -> Optional[DataProvider]:
+        candidates = [
+            p for p in self.deployment.pmanager.active_providers()
+            if p.provider_id not in descriptor.replicas
+            and p.free_mb >= descriptor.size_mb
+        ]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda p: p.load_score())
+
+    def _desired_degree(self, descriptor: ChunkDescriptor, now: float) -> int:
+        """Target + hotness bonus, capped at max_replication."""
+        degree = self.target_replication
+        rate = self._read_rate(descriptor, now)
+        if rate > self.hot_reads_per_s:
+            extra = int(rate / self.hot_reads_per_s)
+            degree = min(self.max_replication, degree + extra)
+        return degree
+
+    def _read_rate(self, descriptor: ChunkDescriptor, now: float) -> float:
+        """Reads/s of this chunk since the previous sweep."""
+        key = descriptor.storage_key
+        previous = self._read_counts.get(key)
+        self._read_counts[key] = (now, descriptor.read_count)
+        if previous is None:
+            return 0.0
+        prev_time, prev_count = previous
+        span = max(now - prev_time, 1e-9)
+        return (descriptor.read_count - prev_count) / span
+
+    # -- plan (the sweep) ----------------------------------------------------------
     def _plan(self, now: float) -> Iterable[Action]:
-        impl = self.impl
         repairs = 0
-        directory = impl.chunk_directory()
+        directory = self.chunk_directory()
         under_replicated = hot = 0
         for key, descriptor in directory.items():
-            if key in impl._in_flight:
+            if key in self._in_flight:
                 continue
-            replicas = impl.live_replicas(descriptor)
+            replicas = self.live_replicas(descriptor)
             if not replicas:
-                if key not in impl.lost_chunks:
-                    impl.lost_chunks.append(key)
+                if key not in self.lost_chunks:
+                    self.lost_chunks.append(key)
                 continue
-            want = impl._desired_degree(descriptor, now)
-            if len(replicas) < impl.target_replication:
+            want = self._desired_degree(descriptor, now)
+            if len(replicas) < self.target_replication:
                 under_replicated += 1
-            if want > impl.target_replication:
+            if want > self.target_replication:
                 hot += 1
-            if len(replicas) < want and repairs < impl.max_repairs_per_step:
-                target = impl._pick_target(descriptor)
+            if len(replicas) < want and repairs < self.max_repairs_per_step:
+                target = self._pick_target(descriptor)
                 if target is None:
                     continue
                 repairs += 1
-                kind = ("repair" if len(replicas) < impl.target_replication
+                kind = ("repair" if len(replicas) < self.target_replication
                         else "promote")
-                source = impl._pick_source(replicas)
+                source = self._pick_source(replicas)
 
                 def start_copy(descriptor=descriptor, source=source,
                                target=target, kind=kind, key=key) -> None:
-                    impl._in_flight.add(key)
+                    self._in_flight.add(key)
                     self.env.process(
-                        impl._copy(descriptor, source, target, kind),
+                        self._copy(descriptor, source, target, kind),
                         name=f"repl-{kind}",
                     )
 
@@ -659,96 +747,105 @@ class ReplicationEngine(DecisionLoop):
 
                 def drop_replica(victim=victim, key=key) -> None:
                     victim.delete_chunk(key)
-                    impl.demotions += 1
+                    self.demotions += 1
 
                 yield Action(
                     "demote", self.name, subject=key,
                     detail={"chunk": key, "from": victim.provider_id},
                     apply=drop_replica,
                 )
-        impl._publish(now, len(directory), under_replicated, hot)
+        self._publish(now, len(directory), under_replicated, hot)
+        # Provenance: the sweep's view of the directory this step.
         self.note(chunks=len(directory), under_replicated=under_replicated,
-                  hot_chunks=hot, lost_chunks=len(impl.lost_chunks),
-                  in_flight=len(impl._in_flight))
+                  hot_chunks=hot, lost_chunks=len(self.lost_chunks),
+                  in_flight=len(self._in_flight))
 
+    def _publish(self, now: float, chunks: int, under_replicated: int,
+                 hot: int) -> None:
+        """Publish the sweep's directory view as metrics series."""
+        if self.query is None or self.query.metrics is None:
+            return
+        metrics = self.query.metrics
+        metrics.sample("replication.chunks", float(chunks))
+        metrics.sample("replication.under_replicated",
+                       float(under_replicated))
+        metrics.sample("replication.hot_chunks", float(hot))
+        metrics.sample("replication.in_flight", float(len(self._in_flight)))
 
-# ---------------------------------------------------------------------------
-# Self-protection: policy scan + sanctions
-# ---------------------------------------------------------------------------
-
-class _ScanPlanner(Planner):
-    """Self-protection's built-in plan: the periodic policy scan."""
-
-    name = "policy-scan"
-
-    def __init__(self, engine: "SecurityEngine") -> None:
-        self.engine = engine
-
-    def params(self) -> Dict[str, Any]:
-        detection = self.engine.detection
-        return {
-            "scan_interval_s": detection.scan_interval_s,
-            "confirmations": detection.confirmations,
-            "refire_holdoff_s": detection.refire_holdoff_s,
-        }
-
-    def plan(self, loop, now: float) -> Iterable[Action]:
-        return self.engine._plan(now)
-
-
-class SecurityEngine(DecisionLoop):
-    """Framework port of the self-protection scan loop.
-
-    Owns the periodic :meth:`DetectionEngine.scan_once` call (start the
-    legacy stack with ``management.start(scan=False)`` so only the
-    history pull runs there).  Enforcement still fires *inside* the
-    scan, through the engine's violation listeners — unchanged ordering
-    — while each violation additionally becomes a framework ``sanction``
-    decision, journaled with its policy/occurrence/trust evidence.  The
-    legacy ``security.violation`` trace instants and
-    ``security.violations`` counter are reproduced sample-for-sample.
-    """
-
-    name = "security"
-
-    def __init__(self, management, arbiter=None,
-                 **loop_kwargs: Any) -> None:
-        loop_kwargs.setdefault(
-            "interval_s", management.config.scan_interval_s)
-        super().__init__(arbiter=arbiter, **loop_kwargs)
-        self.planner = _ScanPlanner(self)
-        self.management = management
-        self.detection = management.engine
-        self.env = management.env
-
-    def _plan(self, now: float) -> Iterable[Action]:
-        found = self.detection.scan_once(now)
-        tracer = self.env.tracer
-        metrics = self.env.metrics
-        trust = self.management.trust
-        for violation in found:
-            # Reproduce the legacy DetectionEngine.run() telemetry.
-            if tracer.enabled:
-                tracer.instant(
-                    "security.violation", track="detection-engine",
-                    cat="security", client=violation.client_id,
-                    policy=violation.policy.name,
-                    occurrence=violation.occurrence,
+    # -- execute -------------------------------------------------------------------
+    def _copy(self, descriptor: ChunkDescriptor, source: DataProvider,
+              target: DataProvider, kind: str):
+        try:
+            done = target.ingest(source.node, descriptor, client_id=None)
+            if self.repair_timeout_s is not None:
+                # A dead-but-undetected source black-holes the copy;
+                # give up after the bound and let a later sweep retry
+                # from a (by then better-informed) replica choice.
+                value = yield from wait_or_timeout(
+                    self.env, done, self.repair_timeout_s
                 )
-            if metrics is not None:
-                metrics.counter("security.violations").inc()
-            evidence = {
-                f"{violation.client_id}.policy": violation.policy.name,
-                f"{violation.client_id}.occurrence": violation.occurrence,
-            }
-            if trust is not None:
-                evidence[f"{violation.client_id}.trust"] = round(
-                    trust.trust_of(violation.client_id, violation.time), 6)
-            self.note(**evidence)
-            yield Action(
-                "sanction", self.name, subject=violation.client_id,
-                detail={"client": violation.client_id,
-                        "policy": violation.policy.name},
-            )
-        self.note(scans=self.detection.scans,
-                  violations=len(self.detection.violations))
+                if value is TIMED_OUT:
+                    return
+            else:
+                yield done
+        except Exception:
+            return
+        finally:
+            self._in_flight.discard(descriptor.storage_key)
+        if target.provider_id not in descriptor.replicas:
+            descriptor.replicas.append(target.provider_id)
+        self.repair_traffic_mb += descriptor.size_mb
+        if kind == "repair":
+            self.repairs_done += 1
+        else:
+            self.promotions += 1
+        self.deployment.sink.emit(MonitoringEvent(
+            time=self.env.now,
+            actor_type="adaptation",
+            actor_id="replication",
+            event_type=EV_REPLICA_REPAIR,
+            blob_id=descriptor.blob_id,
+            fields={"chunk": descriptor.storage_key, "kind": kind,
+                    "size_mb": descriptor.size_mb},
+        ))
+
+
+def migrate_chunks(provider: DataProvider, deployment: BlobSeerDeployment):
+    """Generator: move every chunk off *provider* (elastic scale-down).
+
+    Returns the number of chunks migrated.  Chunks with another live
+    replica are simply dropped here (cheap); sole copies are transferred
+    to the least-loaded remaining provider first.
+    """
+    pmanager = deployment.pmanager
+    moved = 0
+    for key in list(provider.chunks):
+        descriptor = provider.chunks.get(key)
+        if descriptor is None:
+            continue
+        others = [
+            pid for pid in descriptor.replicas
+            if pid != provider.provider_id
+            and pid in pmanager.providers
+            and pmanager.providers[pid].available
+        ]
+        if not others:
+            candidates = [
+                p for p in pmanager.active_providers()
+                if p.provider_id != provider.provider_id
+                and p.free_mb >= descriptor.size_mb
+            ]
+            if not candidates:
+                raise NoProvidersAvailable(
+                    f"cannot drain {provider.provider_id}: no space elsewhere"
+                )
+            target = min(candidates, key=lambda p: p.load_score())
+            try:
+                yield target.ingest(provider.node, descriptor, client_id=None)
+            except (TransferAborted, NodeDownError, BlobSeerError):
+                continue
+            if target.provider_id not in descriptor.replicas:
+                descriptor.replicas.append(target.provider_id)
+            moved += 1
+        provider.delete_chunk(key)
+    return moved

@@ -25,10 +25,9 @@ is the reference implementation) exposing:
 - ``dry_run`` — observe-only flag.
 
 ``plan`` may be (and usually is) a **generator**: the
-:class:`~repro.decision.loop.DecisionLoop` applies each action the
-moment it is yielded, so later planning (e.g. headroom computed from
-post-shrink capacities) observes the post-apply state — exactly like
-the legacy in-place engines.
+:class:`~repro.adaptation.controller.ControlLoop` applies each action
+the moment it is yielded, so later planning (e.g. headroom computed
+from post-shrink capacities) observes the post-apply state.
 
 Determinism: planners hold no hidden randomness.  The bandit takes an
 explicitly injected numpy generator (a dedicated named stream), so runs
@@ -151,8 +150,8 @@ class ThresholdPlanner(Planner):
 
 
 class MarginalUtilityPlanner(Planner):
-    """Rank-by-marginal-utility capacity migration (the legacy CacheTuner
-    plan, extracted verbatim).
+    """Rank-by-marginal-utility capacity migration (the default cache
+    tuner plan).
 
     A knob that keeps signalling pressure while active is thrashing —
     an extra MB there has high expected value, quantified as pressure
@@ -160,9 +159,7 @@ class MarginalUtilityPlanner(Planner):
     shrinks are applied first (only in service of growth — an all-quiet
     fleet keeps its capacities), then the shared pool headroom is
     re-read from the *post-shrink* state and growers draw from it in
-    descending utility order.  Byte-identical per seed to the legacy
-    :class:`~repro.adaptation.cache_tuner.CacheTuner` (asserted by the
-    framework twin-run tests).
+    descending utility order.
     """
 
     name = "marginal-utility"

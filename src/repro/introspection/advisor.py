@@ -26,7 +26,7 @@ materialized rollup:
 Because rollup-answered queries are bitwise identical to raw scans for
 non-percentile statistics, the advisor is *observably read-only*: runs
 with it enabled keep simulated observables byte-identical per seed, like
-a ``dry_run`` CacheTuner.  With ``dry_run=True`` it does not even touch
+a ``dry_run`` cache tuner.  With ``dry_run=True`` it does not even touch
 the store — it only records :attr:`suggestions`.
 """
 

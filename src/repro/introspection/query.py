@@ -468,7 +468,8 @@ class QueryEngine:
         """Windowed per-cache rollup keyed by cache name.
 
         Consumes the ``cache.<name>.<field>`` series published by the
-        :class:`~repro.adaptation.CacheTuner` (or any other sampler).
+        cache tuner (:func:`~repro.decision.engines.build_cache_tuner`)
+        or any other sampler.
         Fields without samples in the window are omitted, so a cache
         appears as soon as any of its series has data.
         """

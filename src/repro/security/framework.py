@@ -138,20 +138,13 @@ class PolicyManagement:
             })
         return self
 
-    def start(self, scan: bool = True) -> None:
-        """Launch the history-pull and (with ``scan``) detection loops.
-
-        ``scan=False`` starts only the history pull — for runs where a
-        framework :class:`~repro.decision.engines.SecurityEngine` owns
-        the periodic scan instead of the built-in
-        :meth:`DetectionEngine.run` process.
-        """
+    def start(self) -> None:
+        """Launch the history-pull and detection loops."""
         if self._started:
             return
         self._started = True
         self.env.process(self.source.run(self.env), name="security-history-pull")
-        if scan:
-            self.env.process(self.engine.run(self.env), name="security-scan")
+        self.env.process(self.engine.run(self.env), name="security-scan")
 
     # -- reporting ----------------------------------------------------------------
     @property

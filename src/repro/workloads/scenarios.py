@@ -385,7 +385,7 @@ class HotspotScenario:
     deployment: BlobSeerDeployment
     writer: CorrectWriter
     readers: List[ZipfReader]
-    tuner: Optional["CacheTuner"]
+    tuner: Optional["ControlLoop"]
     dataset_chunks: int
     chunk_size_mb: float
     blob_id: Optional[int] = None
@@ -457,9 +457,10 @@ def build_hotspot_scenario(
     then *readers* clients hammer Zipf-skewed chunks of it.
 
     With *with_caches* the client chunk/metadata tiers and the provider
-    memory tier are enabled; *with_tuner* additionally runs a
-    :class:`~repro.adaptation.CacheTuner` over every cache the
-    deployment built (this implies metrics, which the tuner needs).
+    memory tier are enabled; *with_tuner* additionally runs the cache
+    tuner (:func:`~repro.decision.engines.build_cache_tuner`) over
+    every cache the deployment built (this implies metrics, which the
+    tuner needs).
     Defaults keep every cache off, so the scenario doubles as the
     cache-less baseline under the same RNG streams.
     """
@@ -502,11 +503,11 @@ def build_hotspot_scenario(
         ))
     tuner = None
     if with_tuner:
-        from ..adaptation.cache_tuner import CacheTuner
+        from ..decision import build_cache_tuner
         from ..introspection.query import QueryEngine
 
         query = QueryEngine.for_deployment(deployment, window_s=3 * tuner_interval_s)
-        tuner = CacheTuner(
+        tuner = build_cache_tuner(
             query,
             caches=deployment.caches,
             interval_s=tuner_interval_s,
@@ -538,7 +539,7 @@ class DisturbanceScenario:
     deployment: BlobSeerDeployment
     writer: CorrectWriter
     readers: List[ZipfReader]
-    tuner: Optional["CacheTuner"]
+    tuner: Optional["ControlLoop"]
     journal: Optional["DecisionJournal"]
     query: Optional["QueryEngine"]
     dataset_chunks: int
@@ -552,8 +553,8 @@ class DisturbanceScenario:
     blob_id: Optional[int] = None
     injector: Optional["FaultInjector"] = None
     read_start: float = 0.0
-    #: Planner driving the tuner: None = the legacy CacheTuner engine.
-    planner_name: Optional[str] = None
+    #: Name of the planner driving the tuner.
+    planner_name: str = "marginal-utility"
 
     __test__ = False
 
@@ -679,7 +680,7 @@ def build_disturbance_scenario(
     duration: float = 170.0,
     slo_mbps: float = 120.0,
     seed: int = 0,
-    planner: Optional[str] = None,
+    planner: str = "marginal-utility",
 ) -> DisturbanceScenario:
     """The BENCH-ADAPT scenario: hot-spot load + two disturbances.
 
@@ -692,12 +693,11 @@ def build_disturbance_scenario(
     :meth:`DisturbanceScenario.observables` string is byte-identical
     with the journal on or off.
 
-    *planner* selects the decision technique (BENCH-DECIDE): ``None``
-    runs the legacy :class:`~repro.adaptation.cache_tuner.CacheTuner`;
-    any :data:`~repro.decision.planners.PLANNERS` name runs the
-    framework tuner (:func:`~repro.decision.engines.build_cache_tuner`)
-    with that planner — same interval, budget, and step fraction, same
-    seeded streams.  The bandit draws from the dedicated
+    *planner* selects the decision technique (BENCH-DECIDE): any
+    :data:`~repro.decision.planners.PLANNERS` name runs the cache tuner
+    (:func:`~repro.decision.engines.build_cache_tuner`) with that
+    planner — same interval, budget, and step fraction, same seeded
+    streams.  The bandit draws from the dedicated
     ``decision:bandit`` stream only, so every other stream is untouched.
     """
     from ..telemetry.metrics import MetricsRegistry
@@ -743,30 +743,19 @@ def build_disturbance_scenario(
 
         query = QueryEngine.for_deployment(deployment,
                                            window_s=3 * tuner_interval_s)
-        if planner is None:
-            from ..adaptation.cache_tuner import CacheTuner
+        from ..decision import SignalRef, build_cache_tuner, make_planner
 
-            tuner = CacheTuner(
-                query,
-                caches=deployment.caches,
-                interval_s=tuner_interval_s,
-                step_fraction=tuner_step_fraction,
-                total_budget_mb=tuner_total_budget_mb,
-            )
-        else:
-            from ..decision import SignalRef, build_cache_tuner, make_planner
-
-            rng = (deployment.rng.stream("decision:bandit")
-                   if planner == "epsilon-greedy" else None)
-            tuner = build_cache_tuner(
-                query,
-                caches=deployment.caches,
-                planner=make_planner(planner, rng=rng,
-                                     step_fraction=tuner_step_fraction),
-                interval_s=tuner_interval_s,
-                total_budget_mb=tuner_total_budget_mb,
-                reward_signal=SignalRef("client.throughput_mbps"),
-            )
+        rng = (deployment.rng.stream("decision:bandit")
+               if planner == "epsilon-greedy" else None)
+        tuner = build_cache_tuner(
+            query,
+            caches=deployment.caches,
+            planner=make_planner(planner, rng=rng,
+                                 step_fraction=tuner_step_fraction),
+            interval_s=tuner_interval_s,
+            total_budget_mb=tuner_total_budget_mb,
+            reward_signal=SignalRef("client.throughput_mbps"),
+        )
     journal = None
     if with_journal:
         from ..introspection.provenance import DecisionJournal
@@ -817,7 +806,7 @@ class ContentionScenario:
     #: Background bulk writers: the provider-pool load elasticity sees
     #: (client caches absorb the Zipf reads, so reads alone load nothing).
     load_writers: List[CorrectWriter]
-    tuner: "DecisionLoop"
+    tuner: "ControlLoop"
     elasticity: "ElasticityEngine"
     arbiter: "Arbiter"
     journal: Optional["DecisionJournal"]

@@ -6,16 +6,14 @@ from repro.adaptation import (
     AdaptationDecision,
     ColdDataRemoval,
     ControlLoop,
-    ElasticityController,
     LRURemoval,
     OrphanRemoval,
     RemovalManager,
-    ReplicationManager,
     TTLRemoval,
-    migrate_chunks,
 )
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
+from repro.decision import ElasticityEngine, ReplicationEngine, migrate_chunks
 from repro.workloads import CorrectWriter
 
 
@@ -77,7 +75,7 @@ def test_replication_repairs_after_crash():
     dep = make_deployment(replication=2)
     client = dep.new_client("c1")
     write_blob(dep, client)
-    manager = ReplicationManager(dep, target_replication=2, interval_s=2.0)
+    manager = ReplicationEngine(dep, target_replication=2, interval_s=2.0)
     dep.env.process(manager.run(dep.env))
 
     victim = next(p for p in dep.providers.values() if p.chunks)
@@ -97,7 +95,7 @@ def test_replication_reports_lost_chunks():
     dep = make_deployment(replication=1)
     client = dep.new_client("c1")
     write_blob(dep, client)
-    manager = ReplicationManager(dep, target_replication=1, interval_s=2.0)
+    manager = ReplicationEngine(dep, target_replication=1, interval_s=2.0)
     dep.env.process(manager.run(dep.env))
     for provider in list(dep.providers.values()):
         if provider.chunks:
@@ -112,7 +110,7 @@ def test_replication_promotes_hot_chunks():
     client = dep.new_client("writer")
     blob_id = write_blob(dep, client, size_mb=64.0)
     reader = dep.new_client("reader")
-    manager = ReplicationManager(
+    manager = ReplicationEngine(
         dep, target_replication=1, max_replication=3,
         hot_reads_per_s=0.5, interval_s=5.0,
     )
@@ -137,7 +135,7 @@ def test_replication_demotes_cold_extra_replicas():
     dep = make_deployment(replication=3)
     client = dep.new_client("c1")
     write_blob(dep, client, size_mb=64.0)
-    manager = ReplicationManager(dep, target_replication=2, interval_s=2.0)
+    manager = ReplicationEngine(dep, target_replication=2, interval_s=2.0)
     dep.env.process(manager.run(dep.env))
     dep.run(until=dep.now + 10.0)
     assert manager.demotions >= 1
@@ -169,7 +167,7 @@ def test_migrate_chunks_moves_sole_copies():
 # ------------------------------------------------------------------ elasticity
 def test_elasticity_scales_up_under_load():
     dep = make_deployment(data_providers=3)
-    controller = ElasticityController(
+    controller = ElasticityEngine(
         dep, min_providers=3, max_providers=10,
         high_load=0.3, interval_s=2.0, cooldown_s=4.0, provision_delay_s=1.0,
     )
@@ -188,7 +186,7 @@ def test_elasticity_scales_up_under_load():
 
 def test_elasticity_scales_down_when_idle():
     dep = make_deployment(data_providers=8)
-    controller = ElasticityController(
+    controller = ElasticityEngine(
         dep, min_providers=3, max_providers=10,
         low_load=0.2, interval_s=2.0, cooldown_s=2.0,
     )
@@ -201,7 +199,7 @@ def test_elasticity_scales_down_when_idle():
 
 def test_elasticity_respects_min_pool():
     dep = make_deployment(data_providers=3)
-    controller = ElasticityController(
+    controller = ElasticityEngine(
         dep, min_providers=3, low_load=0.5, interval_s=1.0, cooldown_s=0.0,
     )
     dep.env.process(controller.run(dep.env))
@@ -214,7 +212,7 @@ def test_elasticity_drain_preserves_data():
     dep = make_deployment(data_providers=6, replication=1)
     client = dep.new_client("c1")
     blob_id = write_blob(dep, client, size_mb=256.0)
-    controller = ElasticityController(
+    controller = ElasticityEngine(
         dep, min_providers=2, low_load=0.5, interval_s=2.0, cooldown_s=2.0,
     )
     dep.env.process(controller.run(dep.env))
@@ -301,17 +299,25 @@ def test_removal_manager_reclaims_space():
     assert not dep.providers["provider-0"].chunks
 
 
-def test_removal_manager_protects_latest_version():
+@pytest.mark.parametrize("appends", [1, 2])
+def test_removal_manager_protects_latest_version(appends):
     dep = make_deployment()
     client = dep.new_client("c1")
     blob_id = write_blob(dep, client, size_mb=128.0)
+
+    def append_more(env):
+        for _ in range(appends - 1):
+            yield env.process(client.append(blob_id, 128.0))
+
+    dep.run(until=dep.env.process(append_more(dep.env)))
     manager = RemovalManager(dep, [TTLRemoval(ttl_s=5.0)], interval_s=5.0,
                              protect_latest=True)
     dep.env.process(manager.run(dep.env))
     dep.run(until=60.0)
-    # The blob's only version stays intact despite the aggressive TTL.
+    # The latest version stays readable despite the aggressive TTL, even
+    # though after a second append it still reads version 1's chunks.
     def read_back(env):
-        return (yield env.process(client.read(blob_id, 0.0, 128.0)))
+        return (yield env.process(client.read(blob_id, 0.0, 128.0 * appends)))
 
     process = dep.env.process(read_back(dep.env))
     assert dep.run(until=process).ok

@@ -217,7 +217,7 @@ def test_tuner_respects_total_budget():
     # Freeze the fleet-wide budget at the initial total: from here on,
     # growth must be funded by shrinking.
     budget = sum(c.capacity_mb for c in scenario.deployment.caches)
-    scenario.tuner.total_budget_mb = budget
+    scenario.tuner.domain.total_budget_mb = budget
     scenario.run()
     total = sum(c.capacity_mb for c in scenario.deployment.caches)
     assert total <= budget + 1e-6
@@ -232,7 +232,7 @@ def test_tuner_dry_run_publishes_but_never_resizes():
         reads_per_client=120, seed=7, with_caches=True,
         chunk_cache_mb=16.0, with_tuner=True, tuner_interval_s=0.5,
     )
-    scenario.tuner.dry_run = True
+    scenario.tuner.domain.dry_run = True
     before = {c.name: c.capacity_mb for c in scenario.deployment.caches}
     scenario.run()
     after = {c.name: c.capacity_mb for c in scenario.deployment.caches}

@@ -1,34 +1,31 @@
-"""Twin-run equivalence tests for the framework engine ports.
+"""Tests for the self-* engines built on the decision framework.
 
-The PR-9 porting contract: every engine re-hosted on the decision
-framework produces **byte-identical decisions per seed** versus its
-legacy counterpart.  Each twin test builds two identically-seeded
-worlds, runs the legacy engine in one and the framework port in the
-other, and compares the full decision streams (time, action, detail)
-plus the engines' own counters — and, where the scenario defines it,
-the canonical ``observables()`` string.
+Golden digests pin each engine's behaviour at a fixed seed: the full
+decision stream plus the engine's own counters and, where the scenario
+defines it, the canonical ``observables()`` string.  The digests in
+``tests/golden/engines.json`` were generated from the original,
+pre-framework engines, so they also pin the framework ports to them.
 
 Also covered here:
 
 - the BENCH-DECIDE contention scenario: the arbiter referees one
   conserved memory ledger between the cache tuner and elasticity, never
   exceeding capacity, preempting cache bytes for higher-band scale-ups;
-- effect-attribution signals for elasticity and replication (satellite:
-  scorecard time-to-effect populated for every engine);
+- effect-attribution signals for elasticity and replication (scorecard
+  time-to-effect populated for every engine);
+- self-protection provenance: every violation of a live attack is
+  journaled as a sanction;
 - determinism: stateful planners (hill-climb, epsilon-greedy) are
-  byte-identical across reruns per seed, and legacy-engine runs are
-  unperturbed by the framework existing at all.
+  byte-identical across reruns per seed.
 """
 
 import pytest
 
-from repro.adaptation import ElasticityController, ReplicationManager
 from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 from repro.cluster import TestbedConfig
 from repro.decision import (
     ElasticityEngine,
     ReplicationEngine,
-    SecurityEngine,
     build_cache_tuner,
 )
 from repro.introspection import DecisionJournal
@@ -75,22 +72,10 @@ def write_blob(dep, client, size_mb=256.0, chunk=64.0):
 
 
 # ------------------------------------------------------------------ cache tuner
-def test_cache_tuner_twin_is_byte_identical_to_legacy():
-    legacy = build_disturbance_scenario(**DISTURB)
-    framework = build_disturbance_scenario(planner="marginal-utility",
-                                           **DISTURB)
-    legacy.run()
-    framework.run()
-    assert legacy.tuner.decisions, "twin run must actually adapt"
-    assert decision_stream(legacy.tuner) == decision_stream(framework.tuner)
-    assert legacy.tuner.capacity_timeline == framework.tuner.capacity_timeline
-    # Not just the decisions: the whole simulated world is identical.
-    assert legacy.observables() == framework.observables()
-
-
 def test_cache_tuner_matches_golden_digest():
     scenario = build_disturbance_scenario(**DISTURB)
     scenario.run()
+    assert scenario.tuner.decisions, "the world must actually adapt"
     assert_digest("engines", "cache-tuner", {
         "decisions": decision_stream(scenario.tuner),
         "capacity_timeline": scenario.tuner.capacity_timeline,
@@ -100,14 +85,14 @@ def test_cache_tuner_matches_golden_digest():
 
 
 def test_framework_tuner_default_planner_matches_legacy_params():
-    from repro.adaptation.cache_tuner import CacheTuner
-
-    dep = make_deployment()
-    query = QueryEngine.for_deployment(dep)
-    legacy = CacheTuner(query)
-    framework = build_cache_tuner(query)
-    assert framework.planner_info() == legacy.planner_info()
-    assert framework.planner_info()["name"] == "marginal-utility"
+    # The thresholds of the original cache tuner.
+    query = QueryEngine.for_deployment(make_deployment())
+    assert build_cache_tuner(query).planner_info() == {
+        "name": "marginal-utility",
+        "params": {"pressure_threshold": 0.1, "idle_activity": 0.05,
+                   "spare_utilization": 0.5, "step_fraction": 0.25},
+    }
+    assert build_disturbance_scenario().planner_name == "marginal-utility"
 
 
 def test_every_planner_drives_the_disturbance_scenario():
@@ -123,12 +108,12 @@ def test_every_planner_drives_the_disturbance_scenario():
 
 
 # ------------------------------------------------------------------ elasticity
-def elasticity_world(seed, engine_cls, **engine_kwargs):
+def elasticity_world(seed):
     dep = make_deployment(data_providers=3, seed=seed)
-    engine = engine_cls(
+    engine = ElasticityEngine(
         dep, min_providers=3, max_providers=10,
         high_load=0.3, interval_s=2.0, cooldown_s=4.0,
-        provision_delay_s=1.0, **engine_kwargs,
+        provision_delay_s=1.0,
     )
     dep.env.process(engine.run(dep.env))
     writers = [CorrectWriter(dep.new_client(f"w{i}"), op_mb=512.0, max_ops=6)
@@ -139,20 +124,9 @@ def elasticity_world(seed, engine_cls, **engine_kwargs):
     return dep, engine
 
 
-def test_elasticity_twin_is_byte_identical_to_legacy():
-    dep_a, legacy = elasticity_world(11, ElasticityController)
-    dep_b, ported = elasticity_world(11, ElasticityEngine)
-    assert legacy.scale_ups > 0, "twin run must actually scale"
-    assert decision_stream(legacy) == decision_stream(ported)
-    assert legacy.pool_timeline == ported.pool_timeline
-    assert (legacy.scale_ups, legacy.scale_downs) == \
-        (ported.scale_ups, ported.scale_downs)
-    assert dep_a.pmanager.pool_size() == dep_b.pmanager.pool_size()
-    assert dep_a.env.events_processed == dep_b.env.events_processed
-
-
 def test_elasticity_matches_golden_digest():
-    dep, engine = elasticity_world(11, ElasticityEngine)
+    dep, engine = elasticity_world(11)
+    assert engine.scale_ups > 0, "the world must actually scale"
     assert_digest("engines", "elasticity", {
         "decisions": decision_stream(engine),
         "pool_timeline": engine.pool_timeline,
@@ -198,7 +172,7 @@ def test_elasticity_effect_attribution_populates_time_to_effect():
 
 
 # ------------------------------------------------------------------ replication
-def replication_world(seed, use_framework, with_journal=False):
+def replication_world(seed, with_journal=False):
     dep = make_deployment(replication=2, seed=seed)
     client = dep.new_client("c1")
     write_blob(dep, client)
@@ -211,14 +185,9 @@ def replication_world(seed, use_framework, with_journal=False):
         query = QueryEngine.for_deployment(dep)
         journal = DecisionJournal(dep.env, effect_window_s=20.0)
         journal.watch("replication", ["replication.under_replicated"])
-    if use_framework:
-        manager = ReplicationEngine(dep, target_replication=2,
-                                    max_replication=3, hot_reads_per_s=0.5,
-                                    interval_s=2.0, query=query)
-    else:
-        manager = ReplicationManager(dep, target_replication=2,
-                                     max_replication=3, hot_reads_per_s=0.5,
-                                     interval_s=2.0, query=query)
+    manager = ReplicationEngine(dep, target_replication=2,
+                                max_replication=3, hot_reads_per_s=0.5,
+                                interval_s=2.0, query=query)
     if journal is not None:
         manager.attach_journal(journal)
     dep.env.process(manager.run(dep.env))
@@ -229,23 +198,12 @@ def replication_world(seed, use_framework, with_journal=False):
     return dep, manager, journal
 
 
-def test_replication_twin_is_byte_identical_to_legacy():
-    dep_a, legacy, _ = replication_world(7, use_framework=False)
-    dep_b, ported, _ = replication_world(7, use_framework=True)
-    assert legacy.repairs_done > 0, "twin run must actually repair"
-    assert decision_stream(legacy) == decision_stream(ported)
-    assert (legacy.repairs_done, legacy.promotions, legacy.demotions,
-            legacy.repair_traffic_mb, legacy.lost_chunks) == \
-        (ported.repairs_done, ported.promotions, ported.demotions,
-         ported.repair_traffic_mb, ported.lost_chunks)
-    assert ported.evidence["chunks"] > 0  # sweep provenance noted
-    assert dep_a.env.events_processed == dep_b.env.events_processed
-    for key, descriptor in ported.impl.chunk_directory().items():
-        assert len(ported.impl.live_replicas(descriptor)) >= 2
-
-
 def test_replication_matches_golden_digest():
-    dep, engine, _ = replication_world(7, use_framework=True)
+    dep, engine, _ = replication_world(7)
+    assert engine.repairs_done > 0, "the world must actually repair"
+    assert engine.evidence["chunks"] > 0  # sweep provenance noted
+    for descriptor in engine.chunk_directory().values():
+        assert len(engine.live_replicas(descriptor)) >= 2
     assert_digest("engines", "replication", {
         "decisions": decision_stream(engine),
         "repairs": engine.repairs_done,
@@ -258,8 +216,7 @@ def test_replication_matches_golden_digest():
 
 
 def test_replication_effect_attribution_populates_time_to_effect():
-    _dep, manager, journal = replication_world(7, use_framework=False,
-                                               with_journal=True)
+    _dep, manager, journal = replication_world(7, with_journal=True)
     journal.resolve_effects()
     repairs = [e for e in journal.for_engine("replication")
                if e.action == "repair"]
@@ -271,12 +228,12 @@ def test_replication_effect_attribution_populates_time_to_effect():
 
 
 # ------------------------------------------------------------------ security
-def security_world(seed, use_framework):
+def test_security_journals_every_violation_as_a_sanction():
     scenario = build_dos_scenario(
         n_clients=6, malicious_fraction=0.5, security_enabled=True,
         data_providers=12, metadata_providers=2, monitoring_services=2,
         op_mb=256.0, attack_start=10.0, attack_stagger_s=5.0,
-        attack_parallel=32, seed=seed, scan_interval_s=5.0,
+        attack_parallel=32, seed=4, scan_interval_s=5.0,
         history_pull_interval_s=2.0, flush_interval_s=1.0, confirmations=1,
     )
     env = scenario.deployment.env
@@ -284,58 +241,23 @@ def security_world(seed, use_framework):
         env.process(writer.run(env), name=f"writer-{i}")
     for i, attacker in enumerate(scenario.attackers):
         env.process(attacker.run(env), name=f"attacker-{i}")
-    engine = None
-    journal = None
-    if use_framework:
-        scenario.security.start(scan=False)
-        journal = DecisionJournal(env)
-        engine = SecurityEngine(scenario.security).attach_journal(journal)
-        env.process(engine.run(env), name="security-scan")
-    else:
-        scenario.security.start()
+    journal = DecisionJournal(env)
+    scenario.security.attach_journal(journal)
+    scenario.security.start()
     scenario.deployment.run(until=75.0)
-    return scenario, engine, journal
 
-
-def violation_stream(scenario):
-    return [(v.time, v.client_id, v.policy.name, v.occurrence)
-            for v in scenario.security.violations]
-
-
-def test_security_twin_is_byte_identical_to_legacy():
-    legacy, _, _ = security_world(4, use_framework=False)
-    framework, engine, journal = security_world(4, use_framework=True)
-    assert violation_stream(legacy), "the attack must be detected"
-    assert violation_stream(legacy) == violation_stream(framework)
-    assert legacy.security.engine.scans == framework.security.engine.scans
-    assert (legacy.security.summary()["blocked"]
-            == framework.security.summary()["blocked"])
-    assert sorted(a.blocked for a in legacy.attackers) == \
-        sorted(a.blocked for a in framework.attackers)
-    # The framework engine surfaced every violation as a journaled
-    # sanction decision with detection evidence.
+    violations = scenario.security.violations
+    assert violations, "the attack must be detected"
     sanctions = [e for e in journal.for_engine("security")
                  if e.action == "sanction"]
-    assert len(sanctions) == len(violation_stream(framework))
-    first = sanctions[0]
-    assert first.detail["policy"] == violation_stream(framework)[0][2]
-    assert f"{first.detail['client']}.trust" in first.evidence
+    assert [(e.time, e.detail["client"], e.detail["policy"])
+            for e in sanctions] == \
+        [(v.time, v.client_id, v.policy.name) for v in violations]
+    assert [e.evidence["occurrence"] for e in sanctions] == \
+        [v.occurrence for v in violations]
+    assert all(0.0 <= e.evidence["trust"] <= 1.0 for e in sanctions)
     assert journal.planner_of("security")["name"] == "policy-scan"
-    assert engine.planner_info()["params"]["scan_interval_s"] == 5.0
-
-
-def test_security_violation_counter_matches_legacy():
-    legacy, _, _ = security_world(4, use_framework=False)
-    framework, _, _ = security_world(4, use_framework=True)
-
-    def counter(scenario):
-        metrics = scenario.deployment.env.metrics
-        if metrics is None:
-            return None
-        return metrics.counter("security.violations").value
-
-    assert counter(legacy) == counter(framework)
-    assert counter(legacy) is None or counter(legacy) >= 0
+    assert journal.planner_of("security")["params"]["scan_interval_s"] == 5.0
 
 
 # ------------------------------------------------------------------ contention
@@ -409,20 +331,3 @@ def test_stateful_planners_are_deterministic_per_seed(planner):
                      scenario.observables()))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
-
-
-def test_legacy_runs_are_unperturbed_by_the_framework():
-    """Framework-off (planner=None) reruns stay byte-identical: merely
-    having the decision subsystem in-process changes nothing."""
-    small = dict(DISTURB, readers=2, dataset_chunks=16, duration=50.0,
-                 shift_at=20.0, churn_at=35.0, churn_heal_s=8.0)
-    first = build_disturbance_scenario(planner=None, **small)
-    first.run()
-    # Import and exercise the framework between the two legacy runs.
-    import repro.decision  # noqa: F401
-
-    second = build_disturbance_scenario(planner=None, **small)
-    second.run()
-    assert first.planner_name is None and second.planner_name is None
-    assert first.observables() == second.observables()
-    assert decision_stream(first.tuner) == decision_stream(second.tuner)

@@ -11,10 +11,9 @@ Covers the PR-9 contract, engine-independently:
 - :class:`Arbiter` semantics: grants, credits capped at holdings,
   deterministic band-ordered preemption through reclaim hooks, atomic
   multi-resource rollback, the denial log, and ``require`` raising;
-- :class:`DecisionLoop` runs any planner over any knob domain behind the
-  full ControlLoop surface — including the cooldown, critical-health
-  override, and bounded decision-ring paths of ``ControlLoop.step``'s
-  machinery (previously only exercised by legacy engines);
+- :class:`ControlLoop` runs any planner over any knob domain behind its
+  full surface — including the cooldown, critical-health override, and
+  bounded decision-ring paths of ``ControlLoop.run``;
 - all four planners behave and stay deterministic: threshold rules,
   marginal-utility ranking with post-shrink funding, hill-climb
   direction flips, epsilon-greedy arm accounting on an injected stream.
@@ -26,7 +25,6 @@ from repro.adaptation import AdaptationDecision, ControlLoop
 from repro.decision import (
     Action,
     Arbiter,
-    DecisionLoop,
     EpsilonGreedyPlanner,
     HillClimbPlanner,
     MarginalUtilityPlanner,
@@ -427,7 +425,7 @@ def test_decision_loop_applies_planner_actions():
     domain = ToyDomain({"a": 10.0, "b": 10.0}, budget=40.0,
                        signal_map={"a": BUSY, "b": IDLE},
                        used={"b": 0.0})
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
+    loop = ControlLoop(planner=ThresholdPlanner(), domain=domain,
                         name="toy", interval_s=1.0)
     run_loop(loop, until=1.5)
     # One tick: a grew (busy + pressure), b shrank (idle).
@@ -440,7 +438,7 @@ def test_decision_loop_applies_planner_actions():
 
 def test_decision_loop_without_planner_is_inert():
     domain = ToyDomain({"a": 10.0}, signal_map={"a": BUSY})
-    loop = DecisionLoop(domain=domain, interval_s=1.0)
+    loop = ControlLoop(domain=domain, interval_s=1.0)
     run_loop(loop, until=3.5)
     assert loop.steps == 3 and loop.applied == 0
     assert domain.values["a"] == 10.0
@@ -452,7 +450,7 @@ def test_decision_loop_denied_actions_are_not_applied():
     arbiter = Arbiter()
     arbiter.ledger("mb", capacity=11.0)
     arbiter.assume("toy", "mb", 10.0)
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
+    loop = ControlLoop(planner=ThresholdPlanner(), domain=domain,
                         arbiter=arbiter, name="toy", interval_s=1.0)
     run_loop(loop, until=1.5)
     # Wanted +2.5 MB, only 1 MB free, nobody to preempt: denied.
@@ -465,7 +463,7 @@ def test_decision_loop_denied_actions_are_not_applied():
 def test_decision_loop_registers_planner_with_journal():
     env = Environment()
     journal = DecisionJournal(env)
-    loop = DecisionLoop(planner=ThresholdPlanner(step_fraction=0.5),
+    loop = ControlLoop(planner=ThresholdPlanner(step_fraction=0.5),
                         domain=ToyDomain({"a": 10.0}), name="toy")
     loop.attach_journal(journal)
     assert journal.planner_of("toy") == {
@@ -475,16 +473,20 @@ def test_decision_loop_registers_planner_with_journal():
     }
 
 
-def test_control_loop_base_step_raises():
-    with pytest.raises(NotImplementedError):
-        ControlLoop().step(0.0)
+def test_control_loop_without_planner_steps_and_decides_nothing():
+    loop = ControlLoop(interval_s=1.0)
+    assert loop.step(0.0) == []
+    run_loop(loop, until=3.5)
+    assert loop.steps == 3
+    assert loop.decisions == [] and loop.decisions_total == 0
+    assert loop.applied == 0 and loop.denied == 0
 
 
 def test_decision_loop_cooldown_suppresses_and_critical_health_overrides():
     domain = ToyDomain({"a": 8.0}, ceilings={"a": 1000.0},
                        signal_map={"a": BUSY})
     health = FakeHealth()
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
+    loop = ControlLoop(planner=ThresholdPlanner(), domain=domain,
                         name="toy", interval_s=1.0, cooldown_s=10.0)
     loop.attach_health(health)
     env = run_loop(loop, until=3.5)
@@ -504,7 +506,7 @@ def test_decision_loop_cooldown_suppresses_and_critical_health_overrides():
 def test_decision_loop_ring_bounds_decisions():
     domain = ToyDomain({"a": 1.0}, ceilings={"a": 1e9},
                        signal_map={"a": BUSY})
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
+    loop = ControlLoop(planner=ThresholdPlanner(), domain=domain,
                         name="toy", interval_s=1.0, max_decisions=3)
     run_loop(loop, until=7.5)
     assert loop.decisions_total == 7
@@ -522,7 +524,7 @@ def test_decision_loop_emits_trace_instants_and_counters():
     env.metrics = MetricsRegistry(env)
     domain = ToyDomain({"a": 10.0}, ceilings={"a": 1000.0},
                        signal_map={"a": BUSY})
-    loop = DecisionLoop(planner=ThresholdPlanner(), domain=domain,
+    loop = ControlLoop(planner=ThresholdPlanner(), domain=domain,
                         name="toy", interval_s=1.0)
     run_loop(loop, until=2.5, env=env)
     marks = [m for m in env.tracer.instants if m.name == "adapt.grow"]
@@ -532,7 +534,7 @@ def test_decision_loop_emits_trace_instants_and_counters():
 
 # ------------------------------------------------------------------ planners
 def plan_once(planner, domain, now=0.0):
-    loop = DecisionLoop(planner=planner, domain=domain, name=domain.engine)
+    loop = ControlLoop(planner=planner, domain=domain, name=domain.engine)
     return loop.step(now), loop
 
 
@@ -608,7 +610,7 @@ def test_hill_climb_flips_direction_on_reward_drop():
     domain = ToyDomain({"a": 16.0}, ceilings={"a": 1000.0},
                        rewards=[10.0, 5.0, 4.0])
     planner = HillClimbPlanner()
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    loop = ControlLoop(planner=planner, domain=domain, name="toy")
     d1 = loop.step(0.0)
     assert d1[0].action == "grow"  # initial direction is up
     d2 = loop.step(1.0)  # reward dropped 10 -> 5: flip to shrink
@@ -621,7 +623,7 @@ def test_hill_climb_flips_direction_on_reward_drop():
 def test_hill_climb_reverses_when_pinned_and_skips_without_reward():
     domain = ToyDomain({"a": 10.0}, ceilings={"a": 10.0}, rewards=[1.0])
     planner = HillClimbPlanner()
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    loop = ControlLoop(planner=planner, domain=domain, name="toy")
     decisions = loop.step(0.0)
     # Pinned at the ceiling: the planner reverses and shrinks instead.
     assert [d.action for d in decisions] == ["shrink"]
@@ -633,7 +635,7 @@ def test_hill_climb_reverses_when_pinned_and_skips_without_reward():
 def test_hill_climb_round_robins_knobs():
     domain = ToyDomain({"a": 8.0, "b": 8.0}, ceilings={"a": 1e9, "b": 1e9},
                        rewards=[1.0, 1.0, 1.0, 1.0])
-    loop = DecisionLoop(planner=HillClimbPlanner(), domain=domain, name="toy")
+    loop = ControlLoop(planner=HillClimbPlanner(), domain=domain, name="toy")
     knobs = [loop.step(float(i))[0].detail["knob"] for i in range(4)]
     assert knobs == ["a", "b", "a", "b"]
 
@@ -662,7 +664,7 @@ def test_epsilon_greedy_probes_then_exploits_best_arm():
     domain = ToyDomain({"a": 8.0}, ceilings={"a": 1e9},
                        rewards=[0.0, 10.0, 10.0, 20.0])
     planner = EpsilonGreedyPlanner(FakeRng([0.9] * 8), epsilon=0.0)
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    loop = ControlLoop(planner=planner, domain=domain, name="toy")
     d1 = loop.step(0.0)
     assert (d1[0].action, loop.evidence["mode"]) == ("grow", "probe")
     d2 = loop.step(1.0)  # a+ credited +10; a- still untried
@@ -678,7 +680,7 @@ def test_epsilon_greedy_explores_on_epsilon():
                        ceilings={"a": 1e9, "b": 1e9}, rewards=[1.0])
     planner = EpsilonGreedyPlanner(FakeRng([0.1], integers=[3]),
                                    epsilon=0.2)
-    loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+    loop = ControlLoop(planner=planner, domain=domain, name="toy")
     decisions = loop.step(0.0)
     # Arms are [(a,+),(a,-),(b,+),(b,-)]: index 3 is b-.
     assert decisions[0].detail["knob"] == "b"
@@ -693,7 +695,7 @@ def test_epsilon_greedy_identical_streams_identical_decisions():
                            rewards=[1.0, 2.0, 1.5, 3.0, 2.5])
         planner = EpsilonGreedyPlanner(
             FakeRng(seed_draws, integers=[1, 2, 0, 3, 1]), epsilon=0.3)
-        loop = DecisionLoop(planner=planner, domain=domain, name="toy")
+        loop = ControlLoop(planner=planner, domain=domain, name="toy")
         out = []
         for i in range(5):
             out.extend((d.time, d.action, tuple(sorted(d.detail.items())))

@@ -186,14 +186,14 @@ def test_flapping_provider_never_triggers_repair():
     """alive -> suspected -> alive oscillation must not start repairs.
 
     A short network glitch raises suspicion (one missed ping) but heals
-    before ``confirm_misses`` lands; the ReplicationManager gates repair
+    before ``confirm_misses`` lands; the ReplicationEngine gates repair
     on *confirmed* deaths, so a flapping provider costs zero repair
     traffic — and the detector's latency stats stay finite (no
     confirmation, no latency sample).
     """
     import math
 
-    from repro.adaptation import ReplicationManager
+    from repro.decision import ReplicationEngine
 
     dep = make_deployment(replication=2)
     metrics = MetricsRegistry(dep.env)
@@ -210,8 +210,8 @@ def test_flapping_provider_never_triggers_repair():
     process = dep.env.process(setup())
     dep.run(until=process)
 
-    manager = ReplicationManager(dep, target_replication=2, interval_s=2.0,
-                                 detector=detector)
+    manager = ReplicationEngine(dep, target_replication=2, interval_s=2.0,
+                                detector=detector)
     dep.env.process(manager.run(dep.env))
 
     victim = next(p for p in dep.providers.values() if p.chunks)

@@ -359,12 +359,12 @@ def _hotspot_observables(with_advisor):
     for reader in scenario.readers:
         reader.think_s = 1.5  # stretch the run so control loops step
     if with_advisor:
-        advisor = RollupAdvisor(scenario.tuner.query, interval_s=6.0,
+        advisor = RollupAdvisor(scenario.tuner.domain.query, interval_s=6.0,
                                 min_scans=1, min_points_per_scan=1.0)
         scenario.deployment.env.process(
             advisor.run(scenario.deployment.env), name="rollup-advisor")
     scenario.run()
-    store = scenario.tuner.query.rollups
+    store = scenario.tuner.domain.query.rollups
     return {
         "read_end": scenario.read_end,
         "per_reader_mb": [r.total_read_mb() for r in scenario.readers],
@@ -387,7 +387,7 @@ def test_advisor_is_observably_read_only():
 
 # ------------------------------------------------------------- elasticity
 def test_elasticity_controller_publishes_and_smooths_with_query():
-    from repro.adaptation.elasticity import ElasticityController
+    from repro.decision import ElasticityEngine
     from repro.blobseer import BlobSeerConfig, BlobSeerDeployment
 
     deployment = BlobSeerDeployment(BlobSeerConfig(
@@ -395,8 +395,8 @@ def test_elasticity_controller_publishes_and_smooths_with_query():
     env = deployment.env
     registry = MetricsRegistry(env)
     engine = QueryEngine(metrics=registry, env=env, window_s=30.0)
-    controller = ElasticityController(deployment, query=engine,
-                                      interval_s=5.0)
+    controller = ElasticityEngine(deployment, query=engine,
+                                  interval_s=5.0)
     assert controller.smooth_window_s == 15.0
 
     raw_load = controller.pool_load()
@@ -412,7 +412,7 @@ def test_elasticity_controller_publishes_and_smooths_with_query():
     assert used_load == pytest.approx(raw_load + 0.5)
 
     # Without a query engine nothing is published and raw signals rule.
-    bare = ElasticityController(BlobSeerDeployment(BlobSeerConfig(
+    bare = ElasticityEngine(BlobSeerDeployment(BlobSeerConfig(
         data_providers=3, metadata_providers=1)))
     bare.step(0.0)
     assert bare.pool_timeline[0][2] == pytest.approx(bare.pool_load())
