@@ -105,6 +105,9 @@ class BlobInfo:
     versions: Dict[int, VersionRecord] = field(default_factory=dict)
     #: Next ticket to hand out.
     next_version: int = 1
+    #: Tree-node interval ``(lo, hi)`` -> latest published version that
+    #: wrote under it: the shape of the latest version's segment tree.
+    stamps: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     def published_versions(self) -> List[int]:
         return sorted(v for v, r in self.versions.items() if r.published)

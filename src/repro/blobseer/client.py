@@ -365,7 +365,7 @@ class BlobSeerClient:
             with tracer.span("client.metadata_write", cat="client",
                              version=ticket.version):
                 yield from tree_update(
-                    self.meta, blob_id, ticket.version, ticket.prev_version,
+                    self.meta, blob_id, ticket.version, ticket.border_stamps,
                     tree_descriptors, capacity=self.vm.tree_capacity,
                 )
 

@@ -12,16 +12,16 @@ Two implementations of the ``KVStore`` generator interface exist:
 - :class:`MetadataStore` — client-side view that routes each key to its
   :class:`MetadataProvider` over the network.
 
-Besides per-key ``get``/``put``, both offer ``get_many``/``put_many``:
-a batch costs one request and one reply per distinct provider, and the
-providers are contacted concurrently, so a batch takes one round trip
-whatever its key count.
+Besides per-key ``get``/``put``, both offer ``put_many``: a batch costs
+one request and one reply per distinct provider, and the providers are
+contacted concurrently, so a batch takes one round trip whatever its
+key count.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Dict, List, Optional, Protocol
 
 from ..cluster.node import NodeDownError, PhysicalNode
 from ..simulation.network import FlowNetwork
@@ -47,10 +47,6 @@ class KVStore(Protocol):
         """Generator storing the value."""
         ...
 
-    def get_many(self, keys: Sequence[str]):  # pragma: no cover - protocol
-        """Generator returning the values (or None) in the order of *keys*."""
-        ...
-
     def put_many(self, items: Dict[str, Any]):  # pragma: no cover - protocol
         """Generator storing every key -> value of *items*."""
         ...
@@ -69,10 +65,6 @@ class LocalKV:
     def put(self, key: str, value: Any):
         self.data[key] = value
         return None
-        yield  # pragma: no cover - makes this a generator
-
-    def get_many(self, keys: Sequence[str]):
-        return [self.data.get(key) for key in keys]
         yield  # pragma: no cover - makes this a generator
 
     def put_many(self, items: Dict[str, Any]):
@@ -140,9 +132,9 @@ class MetadataStore:
     round trip — zero cost in simulation time.  ``None`` results
     (unwritten subtrees) are cached too, as negative entries.
 
-    ``get_many``/``put_many`` group their keys by provider and exchange
-    one request and one reply with each provider, all providers at once;
-    caching works per key exactly as in ``get``/``put``.
+    ``put_many`` groups its keys by provider and exchanges one request
+    and one reply with each provider, all providers at once; caching
+    works per key exactly as in ``put``.
     """
 
     def __init__(
@@ -182,71 +174,36 @@ class MetadataStore:
     def put(self, key: str, value: Any):
         return (yield from self.put_many({key: value}))
 
-    def get_many(self, keys: Sequence[str]):
-        values: List[Any] = [None] * len(keys)
-        missed: List[int] = []
-        batches: Dict[MetadataProvider, List[int]] = {}
-        for i, key in enumerate(keys):
-            if self.cache is not None:
-                hit, cached = self.cache.lookup(key)
-                if hit:
-                    values[i] = None if cached is _NEGATIVE else cached
-                    continue
-            missed.append(i)
-            batches.setdefault(self._provider_for(key), []).append(i)
-        if not batches:
-            return values
-
-        def serve(provider, positions):
-            for i in positions:
-                values[i] = provider.local_get(keys[i])
-
-        yield from self._exchange(batches, "get", serve)
-        if self.cache is not None:
-            for i in missed:
-                value = values[i]
-                self.cache.put(keys[i], _NEGATIVE if value is None else value,
-                               self.message_mb)
-        return values
-
     def put_many(self, items: Dict[str, Any]):
+        """Generator: one request and one reply per provider holding a
+        key of *items*, all providers concurrently.  Every target must be
+        alive before any message is sent."""
         batches: Dict[MetadataProvider, List[str]] = {}
         for key in items:
             batches.setdefault(self._provider_for(key), []).append(key)
         if not batches:
             return None
-
-        def serve(provider, keys):
+        for provider in batches:
+            if not provider.node.alive:
+                raise NodeDownError(provider.node, "metadata put batch")
+        client = self.client_node.name
+        yield self._join([
+            self.net.transfer(client, provider.node.name, self.message_mb)
+            for provider in batches
+        ])
+        for provider, keys in batches.items():
             for key in keys:
                 provider.local_put(key, items[key])
-
-        yield from self._exchange(batches, "put", serve)
+        yield self._join([
+            self.net.transfer(provider.node.name, client, self.message_mb)
+            for provider in batches
+        ])
         if self.cache is not None:
             # Write-through: the writer will traverse these nodes on its
             # own subsequent reads; keys are immutable, so this is safe.
             for key, value in items.items():
                 self.cache.put(key, value, self.message_mb)
         return None
-
-    def _exchange(self, batches: Dict[MetadataProvider, list], op: str, serve):
-        """Generator: one request and one reply per provider of *batches*,
-        all providers concurrently; ``serve(provider, entries)`` runs at
-        each provider when its request has arrived.  Every target must be
-        alive before any message is sent."""
-        for provider in batches:
-            if not provider.node.alive:
-                raise NodeDownError(provider.node, f"metadata {op} batch")
-        client = self.client_node.name
-        yield self._join([
-            self.net.transfer(client, provider.node.name, self.message_mb)
-            for provider in batches
-        ])
-        for provider, entries in batches.items():
-            serve(provider, entries)
-        yield self._join([
-            self.net.transfer(provider.node.name, client, self.message_mb)
-            for provider in batches
-        ])
 
     def _join(self, events: list):
         """One event for all of *events*: a lone transfer is waited on

@@ -16,27 +16,31 @@ Node encoding in the KV store (see :mod:`repro.blobseer.metadata`):
   written, or ``None`` if never written;
 - leaf at ``(blob, v, i, i+1)`` → ``("leaf", ChunkDescriptor)``.
 
-An update is planned before anything is stored, as the BlobSeer client
-does: it walks the write's border paths level by level, fetching the
-previous version's partially covered nodes (at most two per level) with
-one ``get_many`` per level, builds every new node in memory, then stores
-them all with one ``put_many`` — one request per metadata provider.  A
-query walks the tree depth first, one ``get`` per node.
+An update reads nothing: the version manager, which publishes every
+version and so knows the whole tree shape, hands the writer's ticket the
+stamps of the untouched children of the write's border nodes (at most
+two per level, see :func:`border_children`).  The writer builds every
+new node in memory from those stamps and stores them all with one
+``put_many`` — one request per metadata provider.  A query walks the
+tree depth first, one ``get`` per node.
 
-All functions are generators so that every KV access can be a real
-(simulated) network operation; run them with ``yield from`` inside a
-process, or drain them synchronously against :class:`LocalKV` in tests.
+:func:`tree_update` and :func:`tree_query` are generators so that every
+KV access can be a real (simulated) network operation; run them with
+``yield from`` inside a process, or drain them synchronously against
+:class:`LocalKV` in tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .blob import ChunkDescriptor
 
 __all__ = [
     "node_key",
     "DEFAULT_CAPACITY",
+    "written_nodes",
+    "border_children",
     "tree_update",
     "tree_query",
     "tree_node_count",
@@ -56,19 +60,52 @@ def _check_capacity(capacity: int) -> None:
         raise ValueError(f"capacity must be a power of two, got {capacity}")
 
 
+def written_nodes(first: int, last: int, capacity: int) -> Iterator[Tuple[int, int]]:
+    """Intervals ``(lo, hi)`` of every node a write over chunks
+    ``[first, last)`` rewrites, level by level from the root down to the
+    leaves: each node whose interval intersects the write."""
+    size = capacity
+    while size >= 1:
+        for lo in range(first - first % size, last, size):
+            yield lo, lo + size
+        size //= 2
+
+
+def border_children(first: int, last: int, capacity: int) -> Iterator[Tuple[int, int]]:
+    """Intervals of the children a write over ``[first, last)`` leaves
+    untouched under the nodes it rewrites.
+
+    Only the outermost rewritten node of a level can have such a child:
+    a left child ending at or before *first*, or a right child starting
+    at or after *last* — at most two per level.  Their stamps are what a
+    writer inherits from the previous version.
+    """
+    size = capacity
+    while size > 1:
+        half = size // 2
+        left = first - first % size
+        if left + half <= first:
+            yield left, left + half
+        right = (last - 1) - (last - 1) % size
+        if right + half >= last:
+            yield right + half, right + size
+        size = half
+
+
 def tree_update(
     kv,
     blob_id: int,
     version: int,
-    prev_version: Optional[int],
+    border_stamps: Dict[Tuple[int, int], int],
     descriptors: Dict[int, ChunkDescriptor],
     capacity: int = DEFAULT_CAPACITY,
 ):
     """Generator: write the tree nodes for *version*.
 
     *descriptors* maps absolute chunk index → descriptor for every chunk
-    written by this version.  *prev_version* is the version whose tree
-    this one inherits from (``None`` for the first write).
+    written by this version.  *border_stamps* maps each untouched border
+    child's interval (:func:`border_children`) to the version that last
+    wrote under it; a child absent from it was never written.
 
     Returns the number of tree nodes stored.
     """
@@ -81,9 +118,15 @@ def tree_update(
         raise ValueError(f"chunk range [{lo_w},{hi_w}) outside capacity {capacity}")
     if len(descriptors) != hi_w - lo_w:
         raise ValueError("descriptors must cover a contiguous chunk range")
-    nodes = yield from _plan_update(
-        kv, blob_id, version, prev_version, descriptors, lo_w, hi_w, capacity
-    )
+    nodes: List[Tuple[int, int, tuple]] = []
+    for lo, hi in written_nodes(lo_w, hi_w, capacity):
+        if hi - lo == 1:
+            nodes.append((lo, hi, ("leaf", descriptors[lo])))
+            continue
+        mid = (lo + hi) // 2
+        left = version if lo_w < mid else border_stamps.get((lo, mid))
+        right = version if hi_w > mid else border_stamps.get((mid, hi))
+        nodes.append((lo, hi, ("node", left, right)))
     # Post-order (children before parents: sort by right end, then size),
     # the order in which a depth-first writer would store the nodes.
     nodes.sort(key=lambda node: (node[1], node[1] - node[0]))
@@ -91,58 +134,6 @@ def tree_update(
         node_key(blob_id, version, lo, hi): value for lo, hi, value in nodes
     })
     return len(nodes)
-
-
-def _plan_update(
-    kv,
-    blob_id: int,
-    version: int,
-    prev_version: Optional[int],
-    descriptors: Dict[int, ChunkDescriptor],
-    lo_w: int,
-    hi_w: int,
-    capacity: int,
-):
-    """Generator: build every node of the update in memory, top down.
-
-    Each level's nodes intersecting ``[lo_w, hi_w)`` are rewritten.  Of
-    those, only the partially covered ones (at most two per level, on the
-    write's borders) inherit a child from the previous version, so only
-    their previous nodes are fetched — one ``get_many`` per level.
-    Returns ``[(lo, hi, value)]``.
-    """
-    nodes: List[Tuple[int, int, tuple]] = []
-    # Border nodes of the current level: lo -> stamp of their previous
-    # version (None: never written, nothing to fetch).
-    borders: Dict[int, Optional[int]] = {}
-    if not (lo_w == 0 and hi_w == capacity):
-        borders[0] = prev_version
-    size = capacity
-    while size > 1:
-        fetch = [(lo, stamp) for lo, stamp in borders.items() if stamp is not None]
-        previous = yield from kv.get_many(
-            [node_key(blob_id, stamp, lo, lo + size) for lo, stamp in fetch]
-        )
-        inherited = {
-            lo: node for (lo, _stamp), node in zip(fetch, previous) if node is not None
-        }
-        half = size // 2
-        borders = {}
-        for lo in range(lo_w - lo_w % size, hi_w, size):
-            mid, hi = lo + half, lo + size
-            _tag, left, right = inherited.get(lo, ("node", None, None))
-            if lo_w < mid:  # write range intersects the left child
-                if lo_w > lo or hi_w < mid:
-                    borders[lo] = left
-                left = version
-            if hi_w > mid:  # intersects the right child
-                if lo_w > mid or hi_w < hi:
-                    borders[mid] = right
-                right = version
-            nodes.append((lo, hi, ("node", left, right)))
-        size = half
-    nodes.extend((i, i + 1, ("leaf", descriptors[i])) for i in range(lo_w, hi_w))
-    return nodes
 
 
 def tree_query(

@@ -8,12 +8,17 @@ Write protocol implemented here (matching BlobSeer's):
 
 1. the client pushes its chunks to data providers (heavy, fully parallel);
 2. it then requests a **ticket**: the version manager assigns the next
-   version number and — for appends — the write offset.  Tickets for the
-   same blob are granted one at a time so that version *v*'s metadata is
-   complete before *v+1*'s writer builds on it (per-blob metadata
-   serialization; the data phase above is never serialized);
-3. the client writes the copy-on-write segment-tree nodes;
-4. it reports **complete**, the version manager publishes the version and
+   version number and — for appends — the write offset, and returns the
+   write's **border stamps**: for each untouched child of the write's
+   border tree nodes (at most two per level), the latest published
+   version that wrote under it.  Tickets for the same blob are granted
+   one at a time so that version *v*'s metadata is complete before
+   *v+1*'s writer builds on it (per-blob metadata serialization; the
+   data phase above is never serialized);
+3. the client builds the copy-on-write segment-tree nodes from the
+   border stamps and stores them, reading no metadata;
+4. it reports **complete**, the version manager publishes the version —
+   recording it as the latest stamp of every tree node it wrote — and
    grants the next ticket.
 """
 
@@ -24,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from ..cluster.node import NodeDownError, PhysicalNode
 from ..simulation.resources import Resource
-from .blob import BlobInfo, VersionRecord
+from .blob import BlobInfo, VersionRecord, chunk_span
 from .errors import (
     BlobNotFound,
     BlobSeerError,
@@ -46,7 +51,7 @@ from .rpc import (
     wait_or_timeout,
     with_retries,
 )
-from .segment_tree import DEFAULT_CAPACITY
+from .segment_tree import DEFAULT_CAPACITY, border_children, written_nodes
 
 __all__ = ["Ticket", "VersionManager"]
 
@@ -57,9 +62,13 @@ class Ticket:
 
     blob_id: int
     version: int
-    prev_version: Optional[int]  # None for the first write to the blob
     offset_mb: float
     new_size_mb: float
+    #: Tree-node interval -> latest published version written under it,
+    #: for the untouched children of the write's border nodes (see
+    #: :func:`~repro.blobseer.segment_tree.border_children`); children
+    #: never written are absent.
+    border_stamps: Dict[Tuple[int, int], int]
 
     def version_key(self) -> Tuple[int, int]:
         return (self.blob_id, self.version)
@@ -158,28 +167,51 @@ class VersionManager:
         return record
 
     # -- ticketing ---------------------------------------------------------------
+    def border_stamps(
+        self, blob_id: int, first: int, last: int
+    ) -> Dict[Tuple[int, int], int]:
+        """Stamps a write over chunks ``[first, last)`` inherits: each
+        untouched border child's latest published version.
+
+        Only *published* versions are stamped (:meth:`_publish`):
+        abandoned tickets burn version numbers whose metadata tree was
+        never written, and chaining the copy-on-write tree onto such a
+        hole would silently drop every earlier chunk.  Tickets serialize
+        per blob, so at issue time all prior versions are published or
+        abandoned and the stamp map describes the latest version's tree.
+        """
+        stamps = self.blob_info(blob_id).stamps
+        return {
+            child: stamps[child]
+            for child in border_children(first, last, self.tree_capacity)
+            if child in stamps
+        }
+
     def _peek_ticket(
         self,
         blob_id: int,
         size_mb: float,
         offset_mb: Optional[float],
-    ) -> Tuple[int, Optional[int], float, float]:
-        """Compute (version, prev, offset, new_size) without mutating.
-
-        ``prev`` is the latest *published* version, not ``version - 1``:
-        abandoned tickets burn version numbers whose metadata tree was
-        never written, and chaining the copy-on-write tree onto such a
-        hole would silently drop every earlier chunk.  Tickets serialize
-        per blob, so at issue time all prior versions are published or
-        abandoned and ``info.latest`` is the correct parent.
-        """
+    ) -> Tuple[int, float, float]:
+        """Compute (version, offset, new_size) without mutating."""
         info = self.blob_info(blob_id)
         version = info.next_version
-        prev = info.latest if info.latest > 0 else None
         if offset_mb is None:  # append: tail of the blob as of the previous ticket
             offset_mb = info.size_mb
         new_size = max(info.size_mb, offset_mb + size_mb)
-        return version, prev, offset_mb, new_size
+        return version, offset_mb, new_size
+
+    def _ticket(self, blob_id: int, version: int, size_mb: float,
+                offset_mb: float, new_size_mb: float) -> Ticket:
+        chunk_size_mb = self.blob_info(blob_id).chunk_size_mb
+        first, last = chunk_span(offset_mb, size_mb, chunk_size_mb)
+        return Ticket(
+            blob_id=blob_id,
+            version=version,
+            offset_mb=offset_mb,
+            new_size_mb=new_size_mb,
+            border_stamps=self.border_stamps(blob_id, first, last),
+        )
 
     def apply_ticket(
         self,
@@ -217,17 +249,10 @@ class VersionManager:
         writer: str,
         offset_mb: Optional[float],
     ) -> Ticket:
-        version, prev, offset_mb, new_size = self._peek_ticket(
-            blob_id, size_mb, offset_mb
-        )
+        version, offset_mb, new_size = self._peek_ticket(blob_id, size_mb, offset_mb)
+        ticket = self._ticket(blob_id, version, size_mb, offset_mb, new_size)
         self.apply_ticket(blob_id, version, size_mb, writer, offset_mb, new_size)
-        return Ticket(
-            blob_id=blob_id,
-            version=version,
-            prev_version=prev,
-            offset_mb=offset_mb,
-            new_size_mb=new_size,
-        )
+        return ticket
 
     def _publish(self, blob_id: int, version: int, time: Optional[float] = None) -> None:
         info = self.blob_info(blob_id)
@@ -242,6 +267,9 @@ class VersionManager:
         # Tickets are serialized per blob, so versions publish in order.
         info.latest = version
         info.size_mb = record.size_mb
+        first, last = chunk_span(*record.written_range, info.chunk_size_mb)
+        for interval in written_nodes(first, last, self.tree_capacity):
+            info.stamps[interval] = version
         self.versions_published += 1
         if self.passive:
             return
@@ -328,23 +356,16 @@ class VersionManager:
             return self._issue_ticket(blob_id, size_mb, writer, offset_mb)
 
         def build():
-            version, prev, off, new_size = self._peek_ticket(
-                blob_id, size_mb, offset_mb
-            )
+            version, off, new_size = self._peek_ticket(blob_id, size_mb, offset_mb)
             return {
-                "blob_id": blob_id, "version": version, "prev_version": prev,
+                "blob_id": blob_id, "version": version,
                 "size_mb": size_mb, "offset_mb": off, "new_size_mb": new_size,
                 "writer": writer, "time": self.env.now,
             }
 
         payload = yield from self.replicator.commit("ticket", build)
-        return Ticket(
-            blob_id=blob_id,
-            version=payload["version"],
-            prev_version=payload["prev_version"],
-            offset_mb=payload["offset_mb"],
-            new_size_mb=payload["new_size_mb"],
-        )
+        return self._ticket(blob_id, payload["version"], size_mb,
+                            payload["offset_mb"], payload["new_size_mb"])
 
     def _do_publish(self, blob_id: int, version: int):
         if self.replicator is None:

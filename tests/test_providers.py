@@ -242,17 +242,11 @@ def test_metadata_batches_send_one_exchange_per_provider(monkeypatch, count):
 
     _none, put_s = run_store_op(bed, store.put_many(items))
     assert len(sent) == 2 * len(targets)
-    sent.clear()
-    values, get_s = run_store_op(bed, store.get_many(list(items) + ["absent"]))
-    assert values == list(range(count)) + [None]
-    targets.add(store._provider_for("absent"))
-    assert len(sent) == 2 * len(targets)
     assert sum(len(p.store) for p in store.providers) == count
 
     # One round trip whatever the key count: the time of a single get.
     _value, single_s = run_store_op(bed, store.get("key-0"))
     assert put_s == pytest.approx(single_s)
-    assert get_s == pytest.approx(single_s)
 
 
 def test_metadata_batches_cache_like_per_key_path():
@@ -267,13 +261,12 @@ def test_metadata_batches_cache_like_per_key_path():
         def scenario(env):
             yield from store.get("key-1")  # warm one positive entry
             yield from store.get("key-3")  # ... and one negative entry
+            got = []
+            for key in keys:
+                got.append((yield from store.get(key)))
             if batched:
-                got = yield from store.get_many(keys)
                 yield from store.put_many({"new-a": "A", "new-b": "B"})
             else:
-                got = []
-                for key in keys:
-                    got.append((yield from store.get(key)))
                 yield from store.put("new-a", "A")
                 yield from store.put("new-b", "B")
             return got
@@ -291,8 +284,7 @@ def test_metadata_batches_cache_like_per_key_path():
     assert entries["new-b"] == (True, "B")  # write-through
 
 
-@pytest.mark.parametrize("op", ["put_many", "get_many"])
-def test_metadata_batch_to_dead_provider_sends_nothing(monkeypatch, op):
+def test_metadata_batch_to_dead_provider_sends_nothing(monkeypatch):
     from repro.cluster.node import NodeDownError
 
     bed, store = make_metadata_store()
@@ -303,10 +295,7 @@ def test_metadata_batch_to_dead_provider_sends_nothing(monkeypatch, op):
 
     def scenario(env):
         try:
-            if op == "put_many":
-                yield from store.put_many(items)
-            else:
-                yield from store.get_many(list(items))
+            yield from store.put_many(items)
         except NodeDownError:
             return "down"
         return "ok"
@@ -329,5 +318,6 @@ def test_local_kv_batches():
             return stop.value
 
     assert drain(kv.put_many({"a": 1, "b": None})) is None
-    assert drain(kv.get_many(["b", "missing", "a"])) == [None, None, 1]
-    assert drain(kv.get_many([])) == []
+    assert [drain(kv.get(key)) for key in ("b", "missing", "a")] == [None, None, 1]
+    assert drain(kv.put_many({})) is None
+    assert len(kv) == 2

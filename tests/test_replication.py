@@ -162,6 +162,63 @@ def test_primary_crash_failover_loses_no_acked_writes():
         assert record.published or record.abandoned
 
 
+def merged_metadata(dep):
+    store = {}
+    for provider in dep.metadata_providers:
+        store.update(provider.store)
+    return store
+
+
+def test_promoted_standby_inherits_the_stamp_map():
+    """Failover: the promoted standby holds the old primary's stamp map
+    (rebuilt from the log), and the next append stores exactly the tree
+    the fetch-every-predecessor recursion would."""
+    from repro.blobseer.metadata import LocalKV
+
+    from .test_segment_tree import drain, reference_update
+
+    dep = make_replicated(seed=42)
+    client = dep.new_client("c1", rpc_timeout_s=4.0)
+    state = {}
+
+    def appends(count):
+        for _ in range(count):
+            yield from client.append(state["blob"], 8.0)
+
+    def setup():
+        state["blob"] = yield from client.create_blob(8.0)
+        yield from appends(5)
+
+    dep.env.process(setup(), name="setup")
+    dep.run(until=30.0)  # a few heartbeat periods for the tail to ship
+    blob_id = state["blob"]
+    old = dep.vm_group.active_vm()
+    old_stamps = dict(old.blobs[blob_id].stamps)
+    prev = old.blobs[blob_id].latest
+    assert prev == 5 and old_stamps
+    old.node.fail()
+    dep.run(until=80.0)
+
+    assert len(dep.vm_group.failovers) == 1
+    promoted = dep.vm_group.active_vm()
+    assert promoted is not old
+    assert promoted.blobs[blob_id].stamps == old_stamps
+
+    before = merged_metadata(dep)
+    dep.run(until=dep.env.process(appends(1)))
+    version = promoted.blobs[blob_id].latest
+    assert version > prev
+    after = merged_metadata(dep)
+    prefix = f"m:{blob_id}:{version}:"
+    written = {k: v for k, v in after.items() if k.startswith(prefix)}
+    descriptors = {v[1].chunk_index: v[1] for v in written.values() if v[0] == "leaf"}
+    oracle = LocalKV()
+    oracle.data.update(before)
+    drain(reference_update(oracle, blob_id, version, prev, descriptors,
+                           promoted.tree_capacity))
+    assert written == {k: v for k, v in oracle.data.items() if k.startswith(prefix)}
+
+
 def test_rejoining_replica_catches_up_after_recovery():
     dep = make_replicated(seed=42)
     client = dep.new_client("c1", rpc_timeout_s=4.0)

@@ -8,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.blobseer.blob import ChunkDescriptor
 from repro.blobseer.metadata import LocalKV
 from repro.blobseer.segment_tree import (
+    border_children,
     node_key,
     tree_node_count,
     tree_query,
     tree_update,
 )
+from repro.blobseer.version_manager import VersionManager
+from repro.cluster import Testbed, TestbedConfig
 
 
 def drain(generator):
@@ -37,6 +40,33 @@ def make_descriptors(blob_id, first, count, version=1):
 
 
 CAP = 16  # small capacity for readable tests
+
+
+class Writer:
+    """Writes blob 1 the way a client does: ticket from a real version
+    manager (chunk size 1 MB, so offsets are chunk indices), tree nodes
+    from the ticket's border stamps, then publish."""
+
+    def __init__(self, kv, capacity=CAP):
+        self.kv = kv
+        self.capacity = capacity
+        node = Testbed(TestbedConfig(seed=1)).add_node("vm")
+        self.vm = VersionManager(node, tree_capacity=capacity)
+        self.blob_id = self.vm.create_blob(1.0)
+
+    def ticket(self, first, count):
+        return self.vm._issue_ticket(self.blob_id, float(count), "w", float(first))
+
+    def write(self, first, count):
+        """Write and publish chunks [first, first+count); returns the
+        (version, descriptors, nodes stored)."""
+        ticket = self.ticket(first, count)
+        descs = make_descriptors(self.blob_id, first, count, version=ticket.version)
+        stored = drain(tree_update(self.kv, self.blob_id, ticket.version,
+                                   ticket.border_stamps, descs,
+                                   capacity=self.capacity))
+        self.vm._publish(self.blob_id, ticket.version)
+        return ticket.version, descs, stored
 
 
 # -- reference writer: the depth-first recursion tree_update replaced ---------
@@ -113,10 +143,6 @@ class CountingKV(LocalKV):
         self.calls.append(("put", 1))
         return (yield from super().put(key, value))
 
-    def get_many(self, keys):
-        self.calls.append(("get_many", len(keys)))
-        return (yield from super().get_many(keys))
-
     def put_many(self, items):
         self.calls.append(("put_many", len(items)))
         return (yield from super().put_many(items))
@@ -125,7 +151,7 @@ class CountingKV(LocalKV):
 def test_single_write_and_query():
     kv = LocalKV()
     descs = make_descriptors(1, 0, 4)
-    drain(tree_update(kv, 1, 1, None, descs, capacity=CAP))
+    drain(tree_update(kv, 1, 1, {}, descs, capacity=CAP))
     result = drain(tree_query(kv, 1, 1, 0, 4, capacity=CAP))
     assert sorted(result) == [0, 1, 2, 3]
     assert result[2].storage_key == "b1.w1.c2"
@@ -133,24 +159,23 @@ def test_single_write_and_query():
 
 def test_query_subrange():
     kv = LocalKV()
-    drain(tree_update(kv, 1, 1, None, make_descriptors(1, 0, 8), capacity=CAP))
+    drain(tree_update(kv, 1, 1, {}, make_descriptors(1, 0, 8), capacity=CAP))
     result = drain(tree_query(kv, 1, 1, 2, 5, capacity=CAP))
     assert sorted(result) == [2, 3, 4]
 
 
 def test_holes_are_absent():
     kv = LocalKV()
-    drain(tree_update(kv, 1, 1, None, make_descriptors(1, 4, 2), capacity=CAP))
+    drain(tree_update(kv, 1, 1, {}, make_descriptors(1, 4, 2), capacity=CAP))
     result = drain(tree_query(kv, 1, 1, 0, CAP, capacity=CAP))
     assert sorted(result) == [4, 5]
 
 
 def test_cow_versioning_preserves_old_version():
     kv = LocalKV()
-    v1 = make_descriptors(1, 0, 4, version=1)
-    drain(tree_update(kv, 1, 1, None, v1, capacity=CAP))
-    v2 = make_descriptors(1, 2, 2, version=2)
-    drain(tree_update(kv, 1, 2, 1, v2, capacity=CAP))
+    writer = Writer(kv)
+    writer.write(0, 4)
+    writer.write(2, 2)
 
     # Old version still reads the original chunks.
     old = drain(tree_query(kv, 1, 1, 0, 4, capacity=CAP))
@@ -164,11 +189,9 @@ def test_cow_versioning_preserves_old_version():
 
 def test_append_chain_of_versions():
     kv = LocalKV()
-    prev = None
+    writer = Writer(kv)
     for version in range(1, 5):
-        descs = make_descriptors(1, (version - 1) * 2, 2, version=version)
-        drain(tree_update(kv, 1, version, prev, descs, capacity=CAP))
-        prev = version
+        writer.write((version - 1) * 2, 2)
     result = drain(tree_query(kv, 1, 4, 0, 8, capacity=CAP))
     assert sorted(result) == list(range(8))
     for i in range(8):
@@ -178,34 +201,41 @@ def test_append_chain_of_versions():
 def test_update_write_count_is_bounded():
     kv = LocalKV()
     span = 4
-    writes = drain(tree_update(kv, 1, 1, None, make_descriptors(1, 0, span), capacity=CAP))
+    writes = drain(tree_update(kv, 1, 1, {}, make_descriptors(1, 0, span), capacity=CAP))
     assert writes <= tree_node_count(span, CAP)
 
 
 def test_shared_subtrees_not_rewritten():
     kv = LocalKV()
-    drain(tree_update(kv, 1, 1, None, make_descriptors(1, 0, CAP), capacity=CAP))
+    writer = Writer(kv)
+    writer.write(0, CAP)
     before = len(kv)
     # Touch a single chunk: only one root-to-leaf path is rewritten.
-    drain(tree_update(kv, 1, 2, 1, make_descriptors(1, 7, 1, version=2), capacity=CAP))
+    writer.write(7, 1)
     path_length = CAP.bit_length()  # log2(CAP) + 1 nodes
     assert len(kv) - before == path_length
 
 
-def test_update_is_one_get_batch_per_level_and_one_put_batch():
+def test_update_reads_nothing_and_stores_one_put_batch():
     kv = CountingKV()
-    drain(tree_update(kv, 1, 1, None, make_descriptors(1, 0, CAP), capacity=CAP))
+    writer = Writer(kv)
+    _version, _descs, stored = writer.write(0, CAP)
+    assert kv.calls == [("put_many", stored)]
     kv.calls.clear()
-    # Overwrite [3, 11): two borders on most levels, all fetched level by level.
-    puts = drain(tree_update(kv, 1, 2, 1, make_descriptors(1, 3, 8, version=2),
-                             capacity=CAP))
-    depth = CAP.bit_length() - 1
-    gets = [n for op, n in kv.calls if op == "get_many"]
-    assert len(gets) == depth  # one batch per internal level
-    assert max(gets) == 2  # at most the two border nodes of a level
-    assert kv.calls[-1] == ("put_many", puts)
-    assert [op for op, _n in kv.calls].count("put_many") == 1
-    assert not any(op in ("get", "put") for op, _n in kv.calls)
+    # Overwrite [3, 11): two untouched border children on most levels,
+    # every one of them stamped by the ticket instead of fetched.
+    ticket = writer.ticket(3, 8)
+    assert set(ticket.border_stamps) == set(border_children(3, 11, CAP))
+    assert set(ticket.border_stamps.values()) == {1}
+    stored = drain(tree_update(kv, 1, ticket.version, ticket.border_stamps,
+                               make_descriptors(1, 3, 8, version=2), capacity=CAP))
+    assert kv.calls == [("put_many", stored)]
+
+
+def test_border_children_are_the_untouched_children_of_rewritten_nodes():
+    assert list(border_children(3, 11, CAP)) == [(12, 16), (0, 2), (2, 3), (11, 12)]
+    assert list(border_children(0, CAP, CAP)) == []
+    assert list(border_children(0, 1, 2)) == [(1, 2)]
 
 
 def test_non_contiguous_descriptors_rejected():
@@ -213,25 +243,25 @@ def test_non_contiguous_descriptors_rejected():
     descs = make_descriptors(1, 0, 1)
     descs.update(make_descriptors(1, 3, 1))
     with pytest.raises(ValueError):
-        drain(tree_update(kv, 1, 1, None, descs, capacity=CAP))
+        drain(tree_update(kv, 1, 1, {}, descs, capacity=CAP))
 
 
 def test_empty_update_rejected():
     kv = LocalKV()
     with pytest.raises(ValueError):
-        drain(tree_update(kv, 1, 1, None, {}, capacity=CAP))
+        drain(tree_update(kv, 1, 1, {}, {}, capacity=CAP))
 
 
 def test_out_of_capacity_rejected():
     kv = LocalKV()
     with pytest.raises(ValueError):
-        drain(tree_update(kv, 1, 1, None, make_descriptors(1, CAP, 1), capacity=CAP))
+        drain(tree_update(kv, 1, 1, {}, make_descriptors(1, CAP, 1), capacity=CAP))
 
 
 def test_bad_capacity_rejected():
     kv = LocalKV()
     with pytest.raises(ValueError):
-        drain(tree_update(kv, 1, 1, None, make_descriptors(1, 0, 1), capacity=13))
+        drain(tree_update(kv, 1, 1, {}, make_descriptors(1, 0, 1), capacity=13))
 
 
 def test_query_range_validation():
@@ -264,35 +294,36 @@ def test_node_key_uniqueness():
 def test_versions_match_reference_model(writes):
     """Each version's full-range query equals a naive dict-of-arrays model."""
     kv = LocalKV()
+    writer = Writer(kv)
     reference = {}  # version -> {index: storage_key}
     current = {}
-    prev = None
-    for version, (first, count) in enumerate(writes, start=1):
-        descs = make_descriptors(1, first, count, version=version)
-        drain(tree_update(kv, 1, version, prev, descs, capacity=CAP))
+    for first, count in writes:
+        version, descs, _stored = writer.write(first, count)
         current = dict(current)
         for index, descriptor in descs.items():
             current[index] = descriptor.storage_key
         reference[version] = current
-        prev = version
 
     for version, expected in reference.items():
         got = drain(tree_query(kv, 1, version, 0, CAP, capacity=CAP))
         assert {i: d.storage_key for i, d in got.items()} == expected
 
 
-# -- property-based: the planner stores exactly what the recursion stored ------
+# -- property-based: stamped writes store exactly what the recursion stored ---
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_planned_update_matches_recursive_reference(data):
-    """Appends, overwrites and arbitrary ranges (holes included) over
-    capacities 2..64 leave identical KV contents and put counts."""
+    """Appends, overwrites, arbitrary ranges (holes included) and
+    abandoned tickets over capacities 2..64: with border stamps from the
+    version manager, the KV contents and put counts equal those of the
+    recursion that fetched every predecessor node."""
     capacity = 1 << data.draw(st.integers(1, 6), label="log2(capacity)")
     planned, reference = LocalKV(), LocalKV()
+    writer = Writer(planned, capacity)
     size = 0  # chunks below the highest written index
-    prev = None
-    for version in range(1, data.draw(st.integers(1, 10), label="writes") + 1):
-        kind = data.draw(st.sampled_from(["append", "overwrite", "range"]))
+    prev = None  # latest published version
+    for _ in range(data.draw(st.integers(1, 10), label="writes")):
+        kind = data.draw(st.sampled_from(["append", "overwrite", "range", "abandon"]))
         if kind == "append" and size < capacity:
             first, limit = size, capacity
         elif kind == "overwrite" and size > 0:
@@ -301,8 +332,11 @@ def test_planned_update_matches_recursive_reference(data):
         else:
             first, limit = data.draw(st.integers(0, capacity - 1)), capacity
         count = data.draw(st.integers(1, limit - first))
-        descs = make_descriptors(1, first, count, version=version)
-        puts = drain(tree_update(planned, 1, version, prev, descs, capacity=capacity))
+        if kind == "abandon":
+            ticket = writer.ticket(first, count)
+            writer.vm.apply_abandon(writer.blob_id, ticket.version)
+            continue
+        version, descs, puts = writer.write(first, count)
         expected = drain(reference_update(reference, 1, version, prev, descs, capacity))
         assert puts == expected
         assert planned.data == reference.data

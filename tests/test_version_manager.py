@@ -217,3 +217,43 @@ def test_publish_latency_recorded_in_events():
     publishes = sink.of_type("publish")
     assert len(publishes) == 1
     assert publishes[0].fields["latency_s"] > 0
+
+
+def test_abandoned_ticket_never_enters_the_stamp_map():
+    """Only published versions stamp tree nodes: an abandoned ticket's
+    range stays out of the map, and the next append still reads back
+    every earlier chunk."""
+    from repro.blobseer.segment_tree import tree_query, written_nodes
+
+    dep = make_deployment()
+    env = dep.env
+    vm = dep.vmanager
+    client = dep.new_client("c1")
+    caller = dep.testbed.add_node("caller")
+    state = {}
+
+    def scenario():
+        blob_id = yield env.process(client.create_blob(64.0))
+        state["blob"] = blob_id
+        yield env.process(client.append(blob_id, 128.0))  # v1: chunks 0, 1
+        state["before"] = dict(vm.blob_info(blob_id).stamps)
+        ticket = yield from vm.remote_ticket(caller, blob_id, 64.0, "quitter")
+        vm.abandon(ticket)  # v2 (chunk 2) burned before any metadata
+        state["abandoned"] = dict(vm.blob_info(blob_id).stamps)
+        state["next"] = yield env.process(client.append(blob_id, 64.0))
+        state["tree"] = yield from tree_query(
+            client.meta, blob_id, state["next"].version, 0, 3,
+            capacity=vm.tree_capacity,
+        )
+
+    dep.run(until=env.process(scenario()))
+    assert state["abandoned"] == state["before"]
+    assert state["next"].ok and state["next"].version == 3
+    stamps = vm.blob_info(state["blob"]).stamps
+    assert set(stamps.values()) == {1, 3}
+    assert {node for node, v in stamps.items() if v == 3} == set(
+        written_nodes(2, 3, vm.tree_capacity)
+    )
+    tree = state["tree"]
+    assert sorted(tree) == [0, 1, 2]
+    assert [tree[i].version for i in range(3)] == [1, 1, 3]
